@@ -1,4 +1,4 @@
-"""Solver-core perf gates: each engine family vs its baseline.
+"""Solver-core perf gates: the incremental engine vs its oracle.
 
 Tiers of the ``bench.simcore`` benchmark:
 
@@ -10,15 +10,14 @@ Tiers of the ``bench.simcore`` benchmark:
   the full-solve baseline; the full baseline alone takes minutes, so
   it is opt-in locally);
 * **pod_smoke** / **multipod** (always on): a downscaled Pod
-  allreduce window and the 3-Pod §7 PP workload -- byte-exact
-  three-engine equivalence plus the per-component oracle drift check;
+  allreduce window and the 3-Pod §7 PP workload -- flow counts plus
+  the per-component oracle drift check;
 * **pod** (``REPRO_PERF_FULL=1``): the full 15,360-GPU Pod window the
-  CI ``perf-smoke`` job gates on (vectorized >=3x over incremental,
-  oracle drift <=1e-9).
+  CI ``perf-smoke`` job gates on (oracle drift <=1e-9).
 
 Each tier appends its payload to ``BENCH_simcore.json`` in the bench
 artifact dir (``REPRO_BENCH_DIR``, default ``benchmarks/.artifacts``)
-so the trajectory of speedups is recorded alongside the session's
+so the trajectory of walls and speedups is recorded alongside the session's
 engine manifest and ``BENCH_trajectory.json`` row.
 """
 
@@ -33,9 +32,7 @@ from conftest import report
 from repro.fabric.simbench import EQUIVALENCE_TOL, run_pod_tier, run_simcore
 
 #: the CI gate -- the incremental engine must beat the pre-existing
-#: full-solve path by at least this factor on the reference workload,
-#: and the vectorized kernel must beat the incremental engine by the
-#: same factor on the pod tier
+#: full-solve path by at least this factor on the reference workload
 MIN_SPEEDUP = 3.0
 
 SMOKE_PARAMS = {
@@ -111,50 +108,26 @@ def _check(tier: str, payload, min_flows: int) -> None:
     assert payload["solver"]["incremental_solves"] > payload["solver"]["full_solves"]
 
 
-def _check_pod(tier: str, payload, min_flows: int,
-               gate_speedup: bool) -> None:
-    """Gate a pod/multipod payload: equivalence, oracle, speedup."""
-    eq = payload["equivalence"]
+def _check_pod(tier: str, payload, min_flows: int) -> None:
+    """Gate a pod/multipod payload: flow count and oracle drift."""
     oracle = payload["oracle"]
     report(
         f"bench.simcore [{tier}]",
         [
             f"flows            {payload['flows']}",
-            f"incremental      {payload['incremental_wall_s'] * 1e3:9.1f} ms",
-            f"vectorized       {payload['vectorized_wall_s'] * 1e3:9.1f} ms",
-            f"sharded          {payload['sharded_wall_s'] * 1e3:9.1f} ms",
-            f"speedup          {payload['speedup']:9.2f}x"
-            + (f" (gate >= {MIN_SPEEDUP}x)" if gate_speedup else ""),
+            f"incremental      {payload['wall_s'] * 1e3:9.1f} ms",
             f"kernel iters     {payload['solver']['kernel_iters']}",
-            f"shard solves     {payload['shards']['shard_solves']}",
-            f"max rate err     {eq['max_rate_err_gbps']:.3e} Gbps (byte gate)",
             f"oracle drift     {oracle['max_rate_drift_gbps']:.3e} Gbps over "
             f"{oracle['flows_checked']} flows / {oracle['components']} comps",
             f"recorded in      {_record(tier, payload)}",
         ],
     )
     assert payload["flows"] >= min_flows
-    assert eq["ok"], (
-        f"engine divergence: {eq['one_sided_finishes']} one-sided, "
-        f"finish rel err {eq['max_finish_rel_err']:.3e}, "
-        f"rate err {eq['max_rate_err_gbps']:.3e}"
-    )
-    # the three incremental-family engines must agree byte-for-byte
-    assert eq["max_finish_rel_err"] == 0.0
-    assert eq["max_rate_err_gbps"] == 0.0
     assert oracle["ok"], (
         f"oracle drift {oracle['max_rate_drift_gbps']:.3e} Gbps "
         f"(tol {oracle['tol']})"
     )
     assert oracle["flows_checked"] > 0
-    assert payload["shards"]["kernel_iters"] == (
-        payload["solver"]["kernel_iters"]
-    )
-    if gate_speedup:
-        assert payload["speedup"] >= MIN_SPEEDUP, (
-            f"vectorized kernel only {payload['speedup']:.2f}x over the "
-            f"incremental baseline (gate: {MIN_SPEEDUP}x)"
-        )
 
 
 def test_simcore_smoke():
@@ -162,19 +135,17 @@ def test_simcore_smoke():
 
 
 def test_simcore_pod_smoke():
-    """Downscaled Pod window: too small for the kernels to win on
-    wall-clock, so only the correctness gates apply here."""
+    """Downscaled Pod window: the correctness gates, always on."""
     _check_pod(
         "pod_smoke", run_pod_tier(dict(POD_SMOKE_PARAMS), 7, "pod"),
-        min_flows=500, gate_speedup=False,
+        min_flows=500,
     )
 
 
 def test_simcore_multipod():
-    """3-Pod §7 PP workload, run to completion under all engines."""
+    """3-Pod §7 PP workload, run to completion."""
     _check_pod(
-        "multipod", run_pod_tier({}, 42, "multipod"),
-        min_flows=1000, gate_speedup=False,
+        "multipod", run_pod_tier({}, 42, "multipod"), min_flows=1000,
     )
 
 
@@ -192,13 +163,9 @@ def test_simcore_reference():
 
 @pytest.mark.skipif(
     os.environ.get("REPRO_PERF_FULL", "0") != "1",
-    reason="full-Pod tier takes ~2 minutes; set REPRO_PERF_FULL=1 "
-    "(CI perf-smoke runs it via `repro exp run bench.simcore "
-    "--set tier=pod`)",
+    reason="full-Pod tier; set REPRO_PERF_FULL=1 (CI perf-smoke runs "
+    "it via `repro exp run bench.simcore --set tier=pod`)",
 )
 def test_simcore_pod():
-    """Full 15,360-GPU Pod window: the vectorized >=3x CI gate."""
-    _check_pod(
-        "pod", run_pod_tier({}, 42, "pod"),
-        min_flows=15000, gate_speedup=True,
-    )
+    """Full 15,360-GPU Pod window: flow count and oracle drift."""
+    _check_pod("pod", run_pod_tier({}, 42, "pod"), min_flows=15000)

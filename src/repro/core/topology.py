@@ -13,7 +13,7 @@ structure (up/down) and never needs generic shortest paths. An export to
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -291,6 +291,18 @@ class Topology:
         """
         return self._state_log[since:]
 
+    def net_link_changes(self, since: int) -> List[int]:
+        """Ids of links whose state differs from epoch ``since``.
+
+        A link that toggled an even number of times since then is back
+        where it was, so only odd transition counts are returned, in
+        ascending id order. This is the net-change rule every
+        epoch-cursor consumer (route caches, serving memos, the
+        :meth:`transient_state` restore) invalidates by.
+        """
+        counts = Counter(self._state_log[since:])
+        return sorted(lid for lid, n in counts.items() if n % 2)
+
     @contextmanager
     def transient_state(self) -> Iterator["Topology"]:
         """Scoped what-if failures: snapshot link/switch state, restore
@@ -321,12 +333,8 @@ class Topology:
                 sw = self.switches[name]
                 if sw.up != up:
                     sw.up = up
-            pending: Dict[int, int] = {}
-            for lid in self._state_log[enter_epoch:]:
-                pending[lid] = pending.get(lid, 0) + 1
-            for lid, n in pending.items():
-                if n % 2:
-                    self.set_link_state(lid, not self.links[lid].up)
+            for lid in self.net_link_changes(enter_epoch):
+                self.set_link_state(lid, not self.links[lid].up)
 
     def notify_structure_changed(self) -> None:
         """Record out-of-band rewiring (e.g. moving a link endpoint).

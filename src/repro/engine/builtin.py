@@ -244,23 +244,6 @@ def bench_simcore(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# solver shard: one component waterfill (sharded-solver fan-out unit)
-# ----------------------------------------------------------------------
-@experiment(
-    "solver.shard",
-    "One max-min waterfill over a component snapshot payload (the "
-    "fan-out unit the sharded solver dispatches to process workers)",
-    defaults={"shard": {"flow_ids": [], "raw_dirlinks": [], "caps": [],
-                        "weights": [], "f_indptr": [0], "f_links": [],
-                        "f_mults": []}},
-)
-def solver_shard(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
-    from ..fabric.kernel import solve_shard
-
-    return solve_shard(dict(params), seed)
-
-
-# ----------------------------------------------------------------------
 # routing perf benchmark (cached/batched vs uncached walker)
 # ----------------------------------------------------------------------
 @experiment(

@@ -18,7 +18,7 @@ hash tables keyed by sparse dirlink ids.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from .flow import Flow
 
@@ -40,21 +40,10 @@ class IncidenceIndex:
     The index never forgets a link (dense ids stay valid for the life
     of the simulator); links whose flows all finished simply carry
     weight 0.
-
-    Two monotonic epochs stamp every observable mutation so flat-array
-    snapshots (:class:`repro.fabric.kernel.ComponentSnapshot`) held by
-    solver shards can detect staleness without diffing arrays:
-
-    * ``capacity_epoch`` -- bumped when :meth:`refresh_capacities`
-      observes any change (out-of-band ``transient_state()`` capacity
-      edits land here at the next sweep) and when a new link registers;
-    * ``membership_epoch`` -- bumped on every flow :meth:`add` /
-      :meth:`remove`.
     """
 
     __slots__ = ("dense_of", "dirlinks", "cap", "weight", "link_flows",
-                 "flow_links", "flows", "capacity_epoch",
-                 "membership_epoch")
+                 "flow_links", "flows")
 
     def __init__(self) -> None:
         self.dense_of: Dict[int, int] = {}
@@ -64,8 +53,6 @@ class IncidenceIndex:
         self.link_flows: List[Dict[int, int]] = []
         self.flow_links: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         self.flows: Dict[int, Flow] = {}
-        self.capacity_epoch = 0
-        self.membership_epoch = 0
 
     def __len__(self) -> int:
         return len(self.flows)
@@ -85,7 +72,6 @@ class IncidenceIndex:
             self.cap.append(link_gbps(dirlink))
             self.weight.append(0)
             self.link_flows.append({})
-            self.capacity_epoch += 1
         return dense
 
     def add(self, flow: Flow, link_gbps: Callable[[int], float]) -> None:
@@ -99,7 +85,6 @@ class IncidenceIndex:
         )
         self.flows[fid] = flow
         self.flow_links[fid] = dense_links
-        self.membership_epoch += 1
         weight = self.weight
         link_flows = self.link_flows
         for dense, mult in dense_links:
@@ -111,7 +96,6 @@ class IncidenceIndex:
         fid = flow.flow_id
         dense_links = self.flow_links.pop(fid)
         del self.flows[fid]
-        self.membership_epoch += 1
         weight = self.weight
         link_flows = self.link_flows
         for dense, mult in dense_links:
@@ -140,8 +124,6 @@ class IncidenceIndex:
             if now_gbps != cap[dense]:  # repro: noqa[LINT001]
                 cap[dense] = now_gbps
                 changed.append(dense)
-        if changed:
-            self.capacity_epoch += 1
         return changed
 
     # ------------------------------------------------------------------
@@ -149,15 +131,12 @@ class IncidenceIndex:
         self,
         seed_flows: Iterable[int],
         seed_links: Iterable[int],
-        flow_limit: int,
-    ) -> Optional[Tuple[Set[int], Set[int]]]:
+    ) -> Tuple[Set[int], Set[int]]:
         """Connected component of the incidence graph from the seeds.
 
         Walks flow->links->flows alternately until closed. Returns
-        ``(flow_ids, dense_links)``, or ``None`` as soon as more than
-        ``flow_limit`` flows are reached -- the caller's cue to fall
-        back to a full solve instead of paying BFS for most of the
-        graph and a component solve on top.
+        ``(flow_ids, dense_links)``; seed flows no longer indexed are
+        ignored.
         """
         flows = self.flows
         flow_links = self.flow_links
@@ -174,8 +153,6 @@ class IncidenceIndex:
             if dense not in comp_links:
                 comp_links.add(dense)
                 todo_links.append(dense)
-        if len(comp_flows) > flow_limit:
-            return None
         while todo_flows or todo_links:
             while todo_flows:
                 fid = todo_flows.pop()
@@ -189,8 +166,6 @@ class IncidenceIndex:
                     if fid not in comp_flows:
                         comp_flows.add(fid)
                         todo_flows.append(fid)
-                        if len(comp_flows) > flow_limit:
-                            return None
         return comp_flows, comp_links
 
     # ------------------------------------------------------------------
@@ -202,46 +177,24 @@ class IncidenceIndex:
         """Partition the seeds into *disjoint* connected components.
 
         Unlike :meth:`component` (one merged walk from all seeds), the
-        result keeps independent components separate -- the shard unit
-        of the sharded solver. Components are ordered by their smallest
-        flow id, deterministically; seed links whose flows all finished
+        result keeps independent components separate -- the unit the
+        solver fills. Components are ordered by their smallest flow
+        id, deterministically; seed links whose flows all finished
         (weight 0) yield no component.
         """
         flows = self.flows
-        flow_links = self.flow_links
         link_flows = self.link_flows
-        visited_flows: Set[int] = set()
-        visited_links: Set[int] = set()
-        out: List[Tuple[Set[int], Set[int]]] = []
-
-        def walk(fid0: int) -> Tuple[Set[int], Set[int]]:
-            comp_flows: Set[int] = {fid0}
-            comp_links: Set[int] = set()
-            todo = [fid0]
-            while todo:
-                fid = todo.pop()
-                for dense, _mult in flow_links[fid]:
-                    if dense in comp_links:
-                        continue
-                    comp_links.add(dense)
-                    for nfid in link_flows[dense]:
-                        if nfid not in comp_flows:
-                            comp_flows.add(nfid)
-                            todo.append(nfid)
-            return comp_flows, comp_links
-
         seeds: List[int] = sorted(
             fid for fid in seed_flows if fid in flows
         )
         for dense in sorted(set(seed_links)):
-            for fid in sorted(link_flows[dense]):
-                seeds.append(fid)
+            seeds.extend(sorted(link_flows[dense]))
+        visited: Set[int] = set()
+        out: List[Tuple[Set[int], Set[int]]] = []
         for fid in seeds:
-            if fid in visited_flows:
-                continue
-            comp_flows, comp_links = walk(fid)
-            visited_flows.update(comp_flows)
-            visited_links.update(comp_links)
-            out.append((comp_flows, comp_links))
+            if fid not in visited:
+                comp = self.component((fid,), ())
+                visited.update(comp[0])
+                out.append(comp)
         out.sort(key=lambda c: min(c[0]))
         return out

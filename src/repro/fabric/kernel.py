@@ -1,101 +1,54 @@
-"""Vectorized max-min waterfill kernels over CSR-style flat incidence.
+"""Max-min waterfill kernel over a flat snapshot of one flow component.
 
-The per-flow Python loops in :meth:`IncrementalMaxMinSolver._fill`
-bound the solver well below full-Pod scale: every progressive-filling
-iteration scans the active-link set and debits links flow by flow in
-the interpreter. This module replaces that inner loop with a kernel
-operating on flat arrays -- a :class:`ComponentSnapshot` holding the
-component's flow<->link incidence in CSR form (flow-major and
-link-major), dense local ids, and flat capacity/weight vectors --
-iterating bottleneck-link argmin -> bulk rate assignment -> boolean
-frozen masks until saturation.
+The solver (:class:`~repro.fabric.solver.IncrementalMaxMinSolver`)
+fills every dirty connected component of the flow<->link incidence
+graph on its own. :func:`build_snapshot` copies one component out of
+the persistent :class:`~repro.fabric.incidence.IncidenceIndex` into
+flat lists over *local* link ids (the rank of each dense id), and
+:func:`waterfill` runs progressive filling over them -- bottleneck
+argmin, bulk rate assignment, frozen flags -- until every flow is
+fixed.
 
-Two implementations of the **same canonical fill order** exist:
-
-* :func:`waterfill_numpy` -- numpy bulk ops (argmin, fancy-indexed
-  gathers, unbuffered ``np.subtract.at`` scatter debits);
-* :func:`waterfill_python` -- plain lists/sets, no dependencies.
-
-Canonical order means byte-identical floats, not merely
-tolerance-equal: flows enumerate ascending by flow id, links ascending
-by dense id, bottleneck ties break to the smallest dense id, and
-debits apply flow-major in newly-fixed order with each flow's links in
-path order. ``np.subtract.at`` is unbuffered and applies updates in
-index order, so both paths perform the *same sequence* of IEEE-double
-operations. The differential campaign
-(:class:`repro.fabric.solver.SolverEquivalence`) asserts the
-equality; numpy is therefore a perf extra (``repro[fast]``), never a
-correctness dependency (see :mod:`repro.fabric._np`).
-
-:func:`solve_shard` wraps the kernel as a pure ``(params, seed)``
-function over a JSON-safe shard payload -- the unit the
-``solver.shard`` engine experiment (and with it the
-:class:`~repro.fabric.sharded.ShardedSolver` process-pool backend)
-dispatches to workers.
+The fill follows one **canonical order**: flows enumerate ascending by
+flow id, links ascending by dense id, bottleneck ties break to the
+smallest dense id, and newly fixed flows debit flow-major in
+ascending-id order with each flow's links in path order. Components
+share no link, so filling them one at a time runs, inside each
+component, exactly the IEEE-double operations one merged fill would:
+the committed rates are byte-identical however a solve's dirty set
+splits into components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ._np import np as _np
-
-#: numerical guard shared with the solver ("rate/capacity is zero")
+#: numerical guard for "rate/capacity is zero", as in the oracle
 _EPS = 1e-12
 
 #: per-iteration bottleneck hook: (raw_dirlink, fair_share_gbps, fixed)
 BottleneckHook = Optional[Callable[[int, float, int], None]]
 
 
-def _link_major(
-    f_indptr: List[int], f_links: List[int], num_flows: int, num_links: int
-) -> Tuple[List[int], List[int]]:
-    """Link-major CSR from flow-major, rows in ascending-flow order."""
-    counts = [0] * num_links
-    for local in f_links:
-        counts[local] += 1
-    l_indptr = [0] * (num_links + 1)
-    for local in range(num_links):
-        l_indptr[local + 1] = l_indptr[local] + counts[local]
-    cursor = list(l_indptr[:num_links])
-    l_flows = [0] * len(f_links)
-    for fi in range(num_flows):
-        for pos in range(f_indptr[fi], f_indptr[fi + 1]):
-            local = f_links[pos]
-            l_flows[cursor[local]] = fi
-            cursor[local] += 1
-    return l_indptr, l_flows
-
-
 @dataclass
 class ComponentSnapshot:
-    """Flat-array view of one closed flow component, epoch-stamped.
+    """Flat view of one closed flow component.
 
-    ``flow_ids`` ascend; local link ids are the rank of the dense id
-    in ``dense_ids`` (ascending). ``caps``/``weights`` are the
-    component slice of the index's flat vectors, copied at build time;
-    the snapshot records the index epochs it was built against so
-    holders can detect staleness (:meth:`stale`) after out-of-band
-    capacity edits (``topo.transient_state()``) or membership churn.
-
-    When numpy is available the CSR fields are ``ndarray``s; the pure
-    fallback keeps plain lists. :meth:`payload` renders the JSON-safe
-    shard dict either way.
+    ``flow_ids`` ascend and a flow's *rank* is its position there;
+    local link ids are the rank of the dense id among the component's
+    links (ascending). ``caps``/``weights`` are copied from the index
+    at build time, so the kernel never reads the live index.
     """
 
     flow_ids: List[int]
-    dense_ids: List[int]
     raw_dirlinks: List[int]
-    caps: Any  # float64[L]
-    weights: Any  # int64[L]
-    f_indptr: Any  # int64[F+1]
-    f_links: Any  # int64[E] (local link ids, path order per flow)
-    f_mults: Any  # int64[E]
-    l_indptr: Any  # int64[L+1]
-    l_flows: Any  # int64[E] (local flow ranks, ascending per row)
-    capacity_epoch: int  # repro: noqa[LINT004]
-    membership_epoch: int
+    caps: List[float]
+    weights: List[int]
+    #: per flow rank: ``((local link, occurrences), ...)`` in path order
+    flow_links: List[Tuple[Tuple[int, int], ...]]
+    #: per local link: the ranks of its flows, ascending
+    link_flows: List[List[int]]
 
     @property
     def num_flows(self) -> int:
@@ -103,314 +56,103 @@ class ComponentSnapshot:
 
     @property
     def num_links(self) -> int:
-        return len(self.dense_ids)
-
-    def stale(self, index) -> bool:
-        """Has the index moved past this snapshot's epochs?"""
-        return (
-            index.capacity_epoch != self.capacity_epoch
-            or index.membership_epoch != self.membership_epoch
-        )
-
-    def payload(self) -> Dict[str, Any]:
-        """JSON-safe shard dict for cross-process dispatch."""
-
-        def plain(v: Any) -> List[Any]:
-            return v.tolist() if hasattr(v, "tolist") else list(v)
-
-        return {
-            "flow_ids": list(self.flow_ids),
-            "raw_dirlinks": list(self.raw_dirlinks),
-            "caps": plain(self.caps),
-            "weights": plain(self.weights),
-            "f_indptr": plain(self.f_indptr),
-            "f_links": plain(self.f_links),
-            "f_mults": plain(self.f_mults),
-        }
+        return len(self.raw_dirlinks)
 
 
 def build_snapshot(index, flow_ids: Iterable[int]) -> ComponentSnapshot:
     """Snapshot a *closed* flow set (every flow on a touched link).
 
-    Closure is the caller's contract (BFS component or the full active
-    set); it is what lets ``weights`` come straight from the index's
-    global per-link totals.
+    Closure is the caller's contract (a connected component); it is
+    what lets ``weights`` come straight from the index's global
+    per-link totals.
     """
     fids = sorted(flow_ids)
-    flow_links = index.flow_links
-    seen: Dict[int, int] = {}
-    for fid in fids:
-        for dense, _mult in flow_links[fid]:
-            if dense not in seen:
-                seen[dense] = 0
-    dense_ids = sorted(seen)
-    for rank, dense in enumerate(dense_ids):
-        seen[dense] = rank
-
-    f_indptr: List[int] = [0]
-    f_links: List[int] = []
-    f_mults: List[int] = []
-    for fid in fids:
-        for dense, mult in flow_links[fid]:
-            f_links.append(seen[dense])
-            f_mults.append(mult)
-        f_indptr.append(len(f_links))
-    caps = [index.cap[dense] for dense in dense_ids]
-    weights = [index.weight[dense] for dense in dense_ids]
-    raw = [index.dirlinks[dense] for dense in dense_ids]
-    l_indptr, l_flows = _link_major(
-        f_indptr, f_links, len(fids), len(dense_ids)
-    )
-    if _np is not None:
-        i64 = _np.int64
-        return ComponentSnapshot(
-            flow_ids=fids,
-            dense_ids=dense_ids,
-            raw_dirlinks=raw,
-            caps=_np.array(caps, dtype=_np.float64),
-            weights=_np.array(weights, dtype=i64),
-            f_indptr=_np.array(f_indptr, dtype=i64),
-            f_links=_np.array(f_links, dtype=i64),
-            f_mults=_np.array(f_mults, dtype=i64),
-            l_indptr=_np.array(l_indptr, dtype=i64),
-            l_flows=_np.array(l_flows, dtype=i64),
-            capacity_epoch=index.capacity_epoch,
-            membership_epoch=index.membership_epoch,
-        )
+    index_links = [index.flow_links[fid] for fid in fids]
+    dense_ids = sorted({dense for links in index_links
+                        for dense, _mult in links})
+    local_of: Dict[int, int] = {
+        dense: local for local, dense in enumerate(dense_ids)
+    }
+    flow_links: List[Tuple[Tuple[int, int], ...]] = []
+    link_flows: List[List[int]] = [[] for _ in dense_ids]
+    for rank, links in enumerate(index_links):
+        local_links = tuple((local_of[dense], mult) for dense, mult in links)
+        flow_links.append(local_links)
+        for local, _mult in local_links:
+            link_flows[local].append(rank)
     return ComponentSnapshot(
         flow_ids=fids,
-        dense_ids=dense_ids,
-        raw_dirlinks=raw,
-        caps=caps,
-        weights=weights,
-        f_indptr=f_indptr,
-        f_links=f_links,
-        f_mults=f_mults,
-        l_indptr=l_indptr,
-        l_flows=l_flows,
-        capacity_epoch=index.capacity_epoch,
-        membership_epoch=index.membership_epoch,
+        raw_dirlinks=[index.dirlinks[dense] for dense in dense_ids],
+        caps=[index.cap[dense] for dense in dense_ids],
+        weights=[index.weight[dense] for dense in dense_ids],
+        flow_links=flow_links,
+        link_flows=link_flows,
     )
-
-
-# ----------------------------------------------------------------------
-# the two kernels (canonical fill order; see module docstring)
-# ----------------------------------------------------------------------
-def waterfill_numpy(
-    snap: ComponentSnapshot, on_bottleneck: BottleneckHook = None
-) -> Tuple[List[float], int]:
-    """Numpy waterfill; returns (rates aligned to flow_ids, iterations)."""
-    np = _np
-    assert np is not None, "waterfill_numpy requires numpy"
-    F, L = snap.num_flows, snap.num_links
-    residual = snap.caps.copy()
-    unfixed = snap.weights.copy()
-    f_indptr, f_links, f_mults = snap.f_indptr, snap.f_links, snap.f_mults
-    l_indptr, l_flows = snap.l_indptr, snap.l_flows
-    rates = np.zeros(F, dtype=np.float64)
-    fixed = np.zeros(F, dtype=bool)
-    raw = snap.raw_dirlinks
-
-    # dead-link pass, per-flow-first-fix: every flow crossing a dead
-    # link is zeroed once and its own occurrences debited (integer
-    # ops only -- order-free, exact)
-    if F:
-        edge_flow = np.repeat(np.arange(F, dtype=np.int64),
-                              np.diff(f_indptr))
-        dead_edge = residual[f_links] <= _EPS
-        if dead_edge.any():
-            np.logical_or.at(fixed, edge_flow, dead_edge)
-            sel = fixed[edge_flow]
-            np.subtract.at(unfixed, f_links[sel], f_mults[sel])
-
-    active = (unfixed > 0) & (residual > _EPS)
-    iterations = 0
-    shares = np.empty(L, dtype=np.float64)
-    while active.any():
-        shares.fill(np.inf)
-        np.divide(residual, unfixed, out=shares, where=active)
-        b = int(np.argmin(shares))  # ties -> smallest local (dense) id
-        share = float(shares[b])
-        row = l_flows[l_indptr[b]:l_indptr[b + 1]]
-        newly = row[~fixed[row]]
-        iterations += 1
-        if on_bottleneck is not None:
-            on_bottleneck(raw[b], share, int(newly.size))
-        if newly.size == 0:
-            # only drained-to-zero flows remain on this link: it can
-            # make no further progress -- retire it (liveness guard,
-            # mirrored exactly in the python kernel and _fill)
-            active[b] = False
-            continue
-        rates[newly] = share
-        fixed[newly] = True
-        starts = f_indptr[newly]
-        lens = f_indptr[newly + 1] - starts
-        total = int(lens.sum())
-        # ragged gather of the newly-fixed flows' edges, flow-major in
-        # ascending-flow order, path order within each flow -- the
-        # same debit sequence as the interpreted loop
-        base = np.repeat(
-            starts - (np.cumsum(lens) - lens), lens
-        )
-        pos = base + np.arange(total, dtype=np.int64)
-        ls = f_links[pos]
-        ms = f_mults[pos]
-        np.subtract.at(residual, ls, share * ms)
-        np.subtract.at(unfixed, ls, ms)
-        exhausted = active & (residual <= _EPS) & (unfixed > 0)
-        if exhausted.any():
-            # capacity gone with flows still unfixed: they get ~0
-            # (mirrors the oracle: no further debits)
-            for lb in np.nonzero(exhausted)[0]:
-                r = l_flows[l_indptr[lb]:l_indptr[lb + 1]]
-                rz = r[~fixed[r]]
-                rates[rz] = 0.0
-                fixed[rz] = True
-        active &= (unfixed > 0) & (residual > _EPS)
-    return [float(r) for r in rates], iterations
-
-
-def waterfill_python(
-    snap: ComponentSnapshot, on_bottleneck: BottleneckHook = None
-) -> Tuple[List[float], int]:
-    """Pure-Python twin of :func:`waterfill_numpy` (same fill order)."""
-    F, L = snap.num_flows, snap.num_links
-    residual = [float(c) for c in snap.caps]
-    unfixed = [int(w) for w in snap.weights]
-    f_indptr = snap.f_indptr
-    f_links = snap.f_links
-    f_mults = snap.f_mults
-    l_indptr = snap.l_indptr
-    l_flows = snap.l_flows
-    rates = [0.0] * F
-    fixed = [False] * F
-    raw = snap.raw_dirlinks
-
-    for fi in range(F):
-        lo, hi = f_indptr[fi], f_indptr[fi + 1]
-        if any(residual[f_links[p]] <= _EPS for p in range(lo, hi)):
-            fixed[fi] = True
-            for p in range(lo, hi):
-                unfixed[f_links[p]] -= f_mults[p]
-
-    active = {
-        local for local in range(L)
-        if unfixed[local] > 0 and residual[local] > _EPS
-    }
-    iterations = 0
-    while active:
-        share = float("inf")
-        bottleneck = -1
-        for local in sorted(active):
-            s = residual[local] / unfixed[local]
-            if s < share:
-                share = s
-                bottleneck = local
-        newly = [
-            fi for fi in l_flows[l_indptr[bottleneck]:
-                                 l_indptr[bottleneck + 1]]
-            if not fixed[fi]
-        ]
-        iterations += 1
-        if on_bottleneck is not None:
-            on_bottleneck(raw[bottleneck], share, len(newly))
-        if not newly:
-            active.discard(bottleneck)  # liveness guard (see numpy twin)
-            continue
-        for fi in newly:
-            rates[fi] = share
-            fixed[fi] = True
-            for p in range(f_indptr[fi], f_indptr[fi + 1]):
-                local = f_links[p]
-                residual[local] -= share * f_mults[p]
-                unfixed[local] -= f_mults[p]
-        drained = [
-            local for local in sorted(active)
-            if unfixed[local] <= 0 or residual[local] <= _EPS
-        ]
-        for local in drained:
-            if residual[local] <= _EPS and unfixed[local] > 0:
-                for fi in l_flows[l_indptr[local]:l_indptr[local + 1]]:
-                    if not fixed[fi]:
-                        rates[fi] = 0.0
-                        fixed[fi] = True
-            active.discard(local)
-        active = {
-            local for local in sorted(active)
-            if unfixed[local] > 0 and residual[local] > _EPS
-        }
-    return rates, iterations
 
 
 def waterfill(
     snap: ComponentSnapshot, on_bottleneck: BottleneckHook = None
 ) -> Tuple[List[float], int]:
-    """Kernel dispatch: numpy when available, pure-Python otherwise."""
-    if _np is not None and not isinstance(snap.caps, list):
-        return waterfill_numpy(snap, on_bottleneck)
-    return waterfill_python(snap, on_bottleneck)
+    """Progressive filling; returns (rates aligned to flow_ids, iterations).
 
-
-# ----------------------------------------------------------------------
-# shard unit: pure (params, seed) wrapper for the engine experiment
-# ----------------------------------------------------------------------
-def snapshot_from_payload(payload: Dict[str, Any]) -> ComponentSnapshot:
-    """Rebuild a snapshot from :meth:`ComponentSnapshot.payload`."""
-    flow_ids = [int(f) for f in payload["flow_ids"]]
-    f_indptr = [int(v) for v in payload["f_indptr"]]
-    f_links = [int(v) for v in payload["f_links"]]
-    f_mults = [int(v) for v in payload["f_mults"]]
-    caps = [float(c) for c in payload["caps"]]
-    weights = [int(w) for w in payload["weights"]]
-    raw = [int(r) for r in payload["raw_dirlinks"]]
-    num_flows, num_links = len(flow_ids), len(caps)
-    l_indptr, l_flows = _link_major(f_indptr, f_links, num_flows, num_links)
-    if _np is not None:
-        i64 = _np.int64
-        return ComponentSnapshot(
-            flow_ids=flow_ids,
-            dense_ids=list(range(num_links)),
-            raw_dirlinks=raw,
-            caps=_np.array(caps, dtype=_np.float64),
-            weights=_np.array(weights, dtype=i64),
-            f_indptr=_np.array(f_indptr, dtype=i64),
-            f_links=_np.array(f_links, dtype=i64),
-            f_mults=_np.array(f_mults, dtype=i64),
-            l_indptr=_np.array(l_indptr, dtype=i64),
-            l_flows=_np.array(l_flows, dtype=i64),
-            capacity_epoch=-1,
-            membership_epoch=-1,
-        )
-    return ComponentSnapshot(
-        flow_ids=flow_ids,
-        dense_ids=list(range(num_links)),
-        raw_dirlinks=raw,
-        caps=caps,
-        weights=weights,
-        f_indptr=f_indptr,
-        f_links=f_links,
-        f_mults=f_mults,
-        l_indptr=l_indptr,
-        l_flows=l_flows,
-        capacity_epoch=-1,
-        membership_epoch=-1,
-    )
-
-
-def solve_shard(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One shard solve as a pure engine experiment body.
-
-    ``params["shard"]`` is a :meth:`ComponentSnapshot.payload` dict;
-    the result carries rates aligned with the payload's ``flow_ids``.
-    Pure in (params, seed) -- the kernel is deterministic and JSON
-    float round-trips are exact -- so process-pool dispatch returns
-    byte-identical rates to an in-process solve of the same snapshot.
+    Mirrors the oracle :func:`repro.fabric.simulator.max_min_rates`
+    step for step: flows crossing a dead link get 0, each iteration
+    fixes the unfixed flows of the link offering the smallest fair
+    share, and a link whose capacity runs out with flows still unfixed
+    zeroes them without further debits.
     """
-    snap = snapshot_from_payload(dict(params["shard"]))
-    rates, iterations = waterfill(snap)
-    return {
-        "flow_ids": list(snap.flow_ids),
-        "rates": rates,
-        "iterations": iterations,
-    }
+    residual = list(snap.caps)
+    unfixed = list(snap.weights)
+    flow_links = snap.flow_links
+    link_flows = snap.link_flows
+    rates = [0.0] * snap.num_flows
+    fixed = [False] * snap.num_flows
+    raw = snap.raw_dirlinks
+
+    # dead-link pass, per-flow-first-fix: each flow crossing any dead
+    # link is zeroed once and debited along its own links by its own
+    # occurrence counts (never once per dead link crossed)
+    for rank, links in enumerate(flow_links):
+        if any(residual[local] <= _EPS for local, _mult in links):
+            fixed[rank] = True
+            for local, mult in links:
+                unfixed[local] -= mult
+
+    active = [
+        local for local in range(snap.num_links)
+        if unfixed[local] > 0 and residual[local] > _EPS
+    ]
+    iterations = 0
+    while active:
+        # bottleneck: the smallest fair share, ties to the smallest id
+        share, bottleneck = min(
+            (residual[local] / unfixed[local], local) for local in active
+        )
+        newly = [rank for rank in link_flows[bottleneck] if not fixed[rank]]
+        iterations += 1
+        if on_bottleneck is not None:
+            on_bottleneck(raw[bottleneck], share, len(newly))
+        if not newly:
+            # only drained-to-zero flows remain on this link: it can
+            # make no further progress -- retire it (liveness guard)
+            active.remove(bottleneck)
+            continue
+        for rank in newly:
+            rates[rank] = share
+            fixed[rank] = True
+            for local, mult in flow_links[rank]:
+                residual[local] -= share * mult
+                unfixed[local] -= mult
+        still: List[int] = []
+        for local in active:
+            if unfixed[local] <= 0:
+                continue
+            if residual[local] > _EPS:
+                still.append(local)
+                continue
+            # capacity exhausted with flows still unfixed: they get 0
+            # (mirrors the oracle: no further debits)
+            for rank in link_flows[local]:
+                fixed[rank] = True
+        active = still
+    return rates, iterations

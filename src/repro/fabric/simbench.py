@@ -14,13 +14,13 @@ suite) measure the one hot path every figure funnels through:
   full Pod (15 segments x 128 hosts x 8 rails = 15,360 GPUs, §6), a
   pod-wide inter-segment AllReduce ring per rail (every edge crosses
   the dual-plane aggregation layer), an access-link failure/repair
-  inside the measured window. Gates the vectorized kernel against the
-  incremental baseline (CI requires >=3x) and the committed rates
-  against the legacy oracle per connected component (<=1e-9 drift).
+  inside the measured window. Times the incremental engine and gates
+  its committed rates against the legacy oracle per connected
+  component (<=1e-9 drift).
 * **multipod** (:func:`run_pod_tier`) -- the §7 shape: a 3-Pod
   pipeline-parallel job (whole stages per pod, PP activations crossing
   the oversubscribed core) with per-pod data-parallel rings, run to
-  completion under all three incremental engines.
+  completion under the incremental engine.
 
 Every comparison runs the *same* flow objects (reset in between); the
 payloads are JSON-safe and land in ``BENCH_simcore.json``.
@@ -91,13 +91,22 @@ def build_reference_workload(
 
 def _timed_run(
     topo, flows: List[Flow], events, mode: str,
+    until: Optional[float] = None,
 ) -> Tuple[float, Dict[int, float], FluidSimulator]:
+    """One engine pass; returns (wall, finishes, sim).
+
+    ``until`` bounds simulated time (the pod tier measures a fixed
+    window of the collective rather than running 15k completions). The
+    caller resets flows and restores link states between runs --
+    restoring here would desynchronize the topology from the committed
+    rates any oracle check reads.
+    """
     sim = FluidSimulator(topo, solver=mode)
     t0 = time.perf_counter()
     sim.add_flows(flows)
     for t, lid, up in events:
         sim.schedule(t, lambda s, l=lid, u=up: s.topo.set_link_state(l, u))
-    result = sim.run()
+    result = sim.run(until=until)
     wall = time.perf_counter() - t0
     return wall, result.flow_finish, sim
 
@@ -177,7 +186,7 @@ def run_simcore(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 
 # ======================================================================
-# pod / multipod tiers: vectorized + sharded engines at paper scale
+# pod / multipod tiers: the incremental engine at paper scale
 # ======================================================================
 #: per-tier workload defaults (every key overridable via params)
 POD_DEFAULTS: Dict[str, Any] = {
@@ -334,29 +343,6 @@ def build_multipod_workload(
     return cluster.topo, flows, events, meta
 
 
-def _timed_tier_run(
-    topo, flows: List[Flow], events, mode: str, window_s: float,
-) -> Tuple[float, Dict[int, float], Dict[int, float], FluidSimulator]:
-    """One engine pass; returns (wall, finishes, final rates, sim).
-
-    ``window_s > 0`` bounds simulated time (the pod tier measures a
-    fixed window of the collective rather than running 15k completions
-    under the slow baseline); 0 runs to completion. The caller resets
-    flows and restores link states between engines -- restoring here
-    would desynchronize the topology from the committed rates any
-    oracle check reads.
-    """
-    sim = FluidSimulator(topo, solver=mode)
-    t0 = time.perf_counter()
-    sim.add_flows(flows)
-    for t, lid, up in events:
-        sim.schedule(t, lambda s, l=lid, u=up: s.topo.set_link_state(l, u))
-    result = sim.run(until=window_s if window_s > 0 else None)
-    wall = time.perf_counter() - t0
-    rates = {f.flow_id: f.rate_gbps for f in sim.active_flows}
-    return wall, result.flow_finish, rates, sim
-
-
 def _oracle_component_drift(sim: FluidSimulator) -> Dict[str, Any]:
     """Max |committed - oracle| rate over every active flow.
 
@@ -391,14 +377,12 @@ def _oracle_component_drift(sim: FluidSimulator) -> Dict[str, Any]:
 def run_pod_tier(
     params: Dict[str, Any], seed: int, tier: str = "pod"
 ) -> Dict[str, Any]:
-    """Pod / multipod benchmark: incremental vs vectorized vs sharded.
+    """Pod / multipod benchmark: the incremental engine's wall time.
 
-    The incremental engine (PR 4's per-flow Python fill) is the
-    baseline; the CI gate requires the vectorized kernel >=3x on the
-    ``pod`` tier and <=1e-9 max committed-rate drift vs. the legacy
-    oracle. The sharded engine runs serially here (wall reported for
-    comparison) -- its process backend is covered byte-for-byte by the
-    equivalence campaign, where pool startup is not being timed.
+    Correctness rides along: the committed rates must match the legacy
+    oracle per connected component within ``EQUIVALENCE_TOL``, read at
+    the window boundary when one is set, else at a mid-failure probe
+    (completion runs end with nothing active to check).
     """
     if tier not in ("pod", "multipod"):
         raise ValueError(f"unknown simcore tier {tier!r}")
@@ -414,74 +398,34 @@ def run_pod_tier(
         for lid, up in initial_up.items():
             topo.set_link_state(lid, up)
 
-    def measure(mode: str, until: float = window_s):
+    def measure(until: Optional[float]) -> Tuple[float, FluidSimulator]:
         for f in flows:
             f.reset()
-        return _timed_tier_run(topo, flows, events, mode, until)
+        wall, _finish, sim = _timed_run(topo, flows, events,
+                                        "incremental", until)
+        return wall, sim
 
-    inc_wall, inc_finish, inc_rates, _ = measure("incremental")
-    restore()
-    vec_wall, vec_finish, vec_rates, vec_sim = measure("vectorized")
-    # oracle drift against the vectorized engine's committed rates --
-    # read *before* restoring links, at the window boundary when one
-    # is set, else at a mid-failure probe (completion runs end with
-    # nothing active to check)
-    if window_s > 0:
-        oracle = _oracle_component_drift(vec_sim)
-        restore()
-    else:
+    wall, sim = measure(window_s if window_s > 0 else None)
+    checked = sim
+    if window_s <= 0:
+        # a completion run ends with nothing active to check: re-run
+        # up to a mid-failure probe
         restore()
         probe_s = (float(p["fail_at_s"]) + float(p["repair_at_s"])) / 2.0
-        _pw, _pf, _pr, probe_sim = measure("vectorized", until=probe_s)
-        oracle = _oracle_component_drift(probe_sim)
-        restore()
-    shard_wall, _sh_finish, sh_rates, shard_sim = measure("sharded")
+        _probe_wall, checked = measure(probe_s)
+    # read the drift *before* restoring links: the committed rates
+    # were solved against the current link states
+    oracle = _oracle_component_drift(checked)
     restore()
 
-    # equivalence: byte-compare finishes AND final committed rates
-    mism = 0
-    max_err = 0.0
-    for fid in set(inc_finish) | set(vec_finish):
-        a, b = inc_finish.get(fid), vec_finish.get(fid)
-        if (a is None) != (b is None):
-            mism += 1
-            continue
-        if a is not None and b is not None:
-            err = abs(a - b) / max(1.0, abs(a))
-            max_err = max(max_err, err)
-    rate_err = 0.0
-    for fid in set(inc_rates) | set(vec_rates) | set(sh_rates):
-        a = inc_rates.get(fid)
-        b = vec_rates.get(fid)
-        c = sh_rates.get(fid)
-        if a is None or b is None or c is None:
-            mism += 1
-            continue
-        rate_err = max(rate_err, abs(a - b), abs(a - c))
-
-    stats = vec_sim._solver.stats
-    sstats = shard_sim._solver.stats
-    payload: Dict[str, Any] = {
+    stats = sim._solver.stats
+    return {
         "tier": tier,
         "workload": dict(meta, seed=seed, **{
             k: p[k] for k in sorted(p)
         }),
         "flows": len(flows),
-        "incremental_wall_s": inc_wall,
-        "vectorized_wall_s": vec_wall,
-        "sharded_wall_s": shard_wall,
-        "speedup": inc_wall / vec_wall if vec_wall > 0 else float("inf"),
-        "sharded_speedup": (
-            inc_wall / shard_wall if shard_wall > 0 else float("inf")
-        ),
-        "equivalence": {
-            "max_finish_rel_err": max_err,
-            "max_rate_err_gbps": rate_err,
-            "one_sided_finishes": mism,
-            "tol": EQUIVALENCE_TOL,
-            "ok": (mism == 0 and max_err <= EQUIVALENCE_TOL
-                   and rate_err <= EQUIVALENCE_TOL),
-        },
+        "wall_s": wall,
         "oracle": oracle,
         "solver": {
             "full_solves": stats.full_solves,
@@ -490,10 +434,4 @@ def run_pod_tier(
             "mean_dirty_frac": stats.mean_dirty_frac,
             "kernel_iters": stats.kernel_iters,
         },
-        "shards": {
-            "shard_solves": sstats.shard_solves,
-            "kernel_iters": sstats.kernel_iters,
-            "mean_dirty_frac": sstats.mean_dirty_frac,
-        },
     }
-    return payload

@@ -15,7 +15,8 @@ re-solving rates at each boundary. Two solver engines are available:
 * ``solver="incremental"`` (default) -- the
   :class:`~repro.fabric.solver.IncrementalMaxMinSolver`: a persistent
   flow<->link incidence index, dirty-set re-solve of only the
-  connected component an event touched, a completion-time heap with
+  connected components an event touched (each filled on its own by
+  :func:`~repro.fabric.kernel.waterfill`), a completion-time heap with
   lazy invalidation, and lazy per-flow progress accounting. Per
   boundary this costs O(dirty component), not O(active flows).
 * ``solver="full"`` -- the original from-scratch
@@ -104,9 +105,11 @@ def max_min_rates(
              for dl in sorted(active_links)),
             key=lambda t: t[0],
         )
-        newly_fixed = [
-            f for f in link_flows[bottleneck] if f.flow_id not in rates
-        ]
+        # link_flows lists a flow once per occurrence; fix it once
+        newly_fixed = list({
+            f.flow_id: f for f in link_flows[bottleneck]
+            if f.flow_id not in rates
+        }.values())
         if on_bottleneck is not None:
             on_bottleneck(bottleneck, share, len(newly_fixed))
         for f in newly_fixed:
@@ -160,27 +163,15 @@ class FluidSimulator:
     """Event-driven fluid simulator over one topology.
 
     ``solver`` selects the rate engine: ``"incremental"`` (default,
-    dirty-set re-solve over a persistent incidence index), ``"full"``
-    (the original per-boundary from-scratch solve, kept as oracle and
-    perf baseline), ``"vectorized"`` (the incremental machinery with
-    the flat-array waterfill kernel of :mod:`repro.fabric.kernel` --
-    numpy when available, byte-identical pure-Python twin otherwise),
-    or ``"sharded"`` (dirty components solved as independent shards;
-    ``shard_backend="process"`` dispatches them through the engine
-    Runner's process pool with ``shard_workers`` workers). All four
-    engines produce byte-identical rates -- see docs/simulator.md,
-    "Solver engines". ``full_solve_threshold`` tunes the incremental
-    engines' fallback: when an event's dirty component exceeds this
-    fraction of active flows, one full solve is cheaper than component
-    BFS + fill.
+    dirty-set re-solve over a persistent incidence index, one fill per
+    dirty connected component) or ``"full"`` (the original
+    per-boundary from-scratch :func:`max_min_rates`, kept as the test
+    oracle and perf baseline). See docs/simulator.md, "Solver engines".
     """
 
     def __init__(self, topo: Topology, sample_links: bool = False,
-                 recorder=None, solver: str = "incremental",
-                 full_solve_threshold: float = 0.5,
-                 shard_backend: str = "serial",
-                 shard_workers: Optional[int] = None):
-        if solver not in ("incremental", "full", "vectorized", "sharded"):
+                 recorder=None, solver: str = "incremental"):
+        if solver not in ("incremental", "full"):
             raise ValueError(f"unknown solver engine {solver!r}")
         self.topo = topo
         self.sample_links = sample_links
@@ -214,37 +205,15 @@ class FluidSimulator:
             self._m_finished = m.counter("sim.flows_finished")
             self._m_rate_changes = m.counter("sim.rate_changes")
             self._m_kernel_iters = m.counter("sim.kernel_iters")
-            self._m_shard_count = m.counter("sim.shard_count")
             self._tier_label: Dict[int, str] = {}
         self._solver: Optional[IncrementalMaxMinSolver] = None
-        if solver != "full":
-            hook = (
-                self._record_bottleneck if self._rec is not None else None
+        if solver == "incremental":
+            self._solver = IncrementalMaxMinSolver(
+                self.link_gbps,
+                on_bottleneck=(
+                    self._record_bottleneck if self._rec is not None else None
+                ),
             )
-            if solver == "incremental":
-                self._solver = IncrementalMaxMinSolver(
-                    self.link_gbps,
-                    full_threshold=full_solve_threshold,
-                    on_bottleneck=hook,
-                )
-            elif solver == "vectorized":
-                from .solver import VectorizedMaxMinSolver
-
-                self._solver = VectorizedMaxMinSolver(
-                    self.link_gbps,
-                    full_threshold=full_solve_threshold,
-                    on_bottleneck=hook,
-                )
-            else:
-                from .sharded import ShardedSolver
-
-                self._solver = ShardedSolver(
-                    self.link_gbps,
-                    full_threshold=full_solve_threshold,
-                    on_bottleneck=hook,
-                    backend=shard_backend,
-                    max_workers=shard_workers,
-                )
         #: (predicted finish time, flow heap epoch, flow id) entries;
         #: stale entries (epoch mismatch / flow gone) are discarded
         #: lazily on peek -- no O(active) completion scans
@@ -379,8 +348,6 @@ class FluidSimulator:
             self._m_solves.inc()
             if outcome.kernel_iters:
                 self._m_kernel_iters.inc(outcome.kernel_iters)
-            if outcome.shards:
-                self._m_shard_count.inc(outcome.shards)
             if outcome.mode == "full":
                 self._m_full_solves.inc()
                 self._m_dirty_frac.observe(1.0)

@@ -5,12 +5,15 @@ of the flow<->link incidence graph: two flows that share no link (even
 transitively) cannot influence each other's fair share. The
 :class:`IncrementalMaxMinSolver` exploits that -- events (flow arrival,
 completion, link state change) mark flows/links *dirty*, and the next
-solve re-runs progressive filling only on the connected component
-reachable from the dirty set, splicing frozen rates for the untouched
-remainder. When the dirty component covers most of the graph the solver
-falls back to one array-backed full solve (no dict rebuild either way:
-the :class:`~repro.fabric.incidence.IncidenceIndex` persists across
-events).
+solve partitions the dirty set into its disjoint components
+(:meth:`~repro.fabric.incidence.IncidenceIndex.components`) and fills
+each one separately with the kernel of :mod:`repro.fabric.kernel`,
+splicing frozen rates for the untouched remainder. HPN hands the
+solver many small components by design: the two tier-2 planes are
+physically disjoint (§6) and rail-optimized collectives keep each
+rail's traffic on its own plane. The
+:class:`~repro.fabric.incidence.IncidenceIndex` persists across events,
+so no solve rebuilds the incidence from scratch.
 
 The legacy :func:`repro.fabric.simulator.max_min_rates` stays intact as
 the differential-testing oracle; :class:`SolverEquivalence` drives both
@@ -21,13 +24,11 @@ asserts the rates agree to ``1e-9``.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -37,9 +38,7 @@ from typing import (
 
 from .flow import Flow
 from .incidence import IncidenceIndex
-
-#: numerical guard for "rate/capacity is zero"
-_EPS = 1e-12
+from .kernel import build_snapshot, waterfill
 
 
 @dataclass
@@ -52,10 +51,8 @@ class SolverStats:
     #: flows re-solved, summed over boundaries (vs. flows active)
     resolved_flows: int = 0
     active_flow_boundaries: int = 0
-    #: progressive-filling iterations, summed over fills/shards
+    #: progressive-filling iterations, summed over component fills
     kernel_iters: int = 0
-    #: component shards dispatched (sharded engine; 0 otherwise)
-    shard_solves: int = 0
 
     @property
     def solves(self) -> int:
@@ -73,16 +70,15 @@ class SolverStats:
 class SolveOutcome:
     """What one :meth:`IncrementalMaxMinSolver.solve` call did."""
 
-    #: "noop" (nothing dirty), "incremental", or "full"
+    #: "noop" (nothing dirty), "incremental", or "full" (the dirty
+    #: components covered every active flow)
     mode: str
     #: flow ids whose rate may have changed this solve
     touched: FrozenSet[int]
     #: |touched| / |active| for this boundary (0.0 on noop)
     dirty_frac: float
-    #: progressive-filling iterations this solve ran (all shards)
+    #: progressive-filling iterations this solve ran (all components)
     kernel_iters: int = 0
-    #: component shards this solve dispatched (sharded engine only)
-    shards: int = 0
 
 
 _NOOP = SolveOutcome("noop", frozenset(), 0.0)
@@ -92,24 +88,16 @@ class IncrementalMaxMinSolver:
     """Event-maintained max-min fairness over an incidence index.
 
     ``link_gbps(raw_dirlink)`` supplies capacities (0 marks a link
-    down). ``full_threshold`` is the dirty-component size (as a
-    fraction of active flows) beyond which a full solve is cheaper
-    than BFS + component fill; 0 forces every solve full, 1 never
-    falls back on size alone. ``on_bottleneck(raw_dirlink, share,
-    flows_fixed)`` fires per progressive-filling iteration, exactly
-    like the oracle's hook.
+    down). ``on_bottleneck(raw_dirlink, share, flows_fixed)`` fires per
+    progressive-filling iteration, exactly like the oracle's hook.
     """
 
     def __init__(
         self,
         link_gbps: Callable[[int], float],
-        full_threshold: float = 0.5,
         on_bottleneck: Optional[Callable[[int, float, int], None]] = None,
     ):
-        if not 0.0 <= full_threshold <= 1.0:
-            raise ValueError("full_threshold must be within [0, 1]")
         self.index = IncidenceIndex()
-        self.full_threshold = full_threshold
         self.on_bottleneck = on_bottleneck
         self.stats = SolverStats()
         #: committed rate (Gbps) per active flow id -- the splice target
@@ -138,162 +126,42 @@ class IncrementalMaxMinSolver:
 
     # ------------------------------------------------------------------
     def solve(self) -> SolveOutcome:
-        """Bring :attr:`rates` up to date; returns what was re-solved."""
-        self._dirty_links.update(
-            self.index.refresh_capacities(self._link_gbps)
-        )
-        n_active = len(self.index.flows)
+        """Bring :attr:`rates` up to date; returns what was re-solved.
+
+        Each dirty component is closed (every flow on any of its links
+        is in it), so filling it alone is exact against the frozen
+        rates outside it.
+        """
+        index = self.index
+        self._dirty_links.update(index.refresh_capacities(self._link_gbps))
         if not self._dirty_flows and not self._dirty_links:
             self.stats.noop_solves += 1
             return _NOOP
-        stats = self.stats
-        stats.active_flow_boundaries += n_active
-        limit = int(self.full_threshold * n_active)
-        comp = self.index.component(
-            self._dirty_flows, self._dirty_links, limit
-        )
+        comps = index.components(self._dirty_flows, self._dirty_links)
         self._dirty_flows.clear()
         self._dirty_links.clear()
-        if comp is None:
-            touched = frozenset(self.index.flows)
-            iters = self._fill(touched)
-            stats.full_solves += 1
-            stats.resolved_flows += n_active
-            stats.kernel_iters += iters
-            return SolveOutcome("full", touched, 1.0, kernel_iters=iters)
-        comp_flows, _comp_links = comp
-        touched = frozenset(comp_flows)
-        iters = self._fill(touched)
-        stats.incremental_solves += 1
+        rates = self.rates
+        touched: Set[int] = set()
+        iters = 0
+        for comp_flows, _comp_links in comps:
+            snap = build_snapshot(index, comp_flows)
+            comp_rates, comp_iters = waterfill(snap, self.on_bottleneck)
+            rates.update(zip(snap.flow_ids, comp_rates))
+            touched.update(comp_flows)
+            iters += comp_iters
+        n_active = len(index.flows)
+        stats = self.stats
+        stats.active_flow_boundaries += n_active
         stats.resolved_flows += len(touched)
         stats.kernel_iters += iters
+        if touched and len(touched) == n_active:
+            stats.full_solves += 1
+            return SolveOutcome("full", frozenset(touched), 1.0,
+                                kernel_iters=iters)
+        stats.incremental_solves += 1
         frac = len(touched) / n_active if n_active else 0.0
-        return SolveOutcome("incremental", touched, frac,
+        return SolveOutcome("incremental", frozenset(touched), frac,
                             kernel_iters=iters)
-
-    # ------------------------------------------------------------------
-    def _fill(self, flow_ids: FrozenSet[int]) -> int:
-        """Progressive filling over ``flow_ids``, splicing into rates.
-
-        Exact for any union of connected components: every flow on a
-        participating link is in ``flow_ids`` (BFS closure), so link
-        capacities need no adjustment for frozen outside flows.
-
-        The fill follows the **canonical order** the vectorized and
-        sharded engines reproduce bit-for-bit (see
-        :mod:`repro.fabric.kernel`): flows enumerate ascending by flow
-        id, bottleneck ties break to the smallest dense link id, newly
-        fixed flows debit flow-major in ascending-id order with each
-        flow's links in path order. Returns the iteration count.
-        """
-        idx = self.index
-        flow_links = idx.flow_links
-        link_flows = idx.link_flows
-        rates = self.rates
-        # scratch vectors: C-speed copies of the persistent arrays
-        residual = array("d", idx.cap)
-        unfixed = array("q", idx.weight)
-        fixed: Set[int] = set()
-
-        # dead-link pass, per-flow-first-fix: each flow crossing any
-        # dead link is zeroed once and debited along its own links by
-        # its own occurrence counts (never once per dead link crossed)
-        participating: Set[int] = set()
-        for fid in sorted(flow_ids):
-            links = flow_links[fid]
-            dead = False
-            for dense, _mult in links:
-                participating.add(dense)
-                if residual[dense] <= _EPS:
-                    dead = True
-            if dead:
-                rates[fid] = 0.0
-                fixed.add(fid)
-                for dense, mult in links:
-                    unfixed[dense] -= mult
-
-        active = {
-            dense for dense in participating
-            if unfixed[dense] > 0 and residual[dense] > _EPS
-        }
-        on_bottleneck = self.on_bottleneck
-        dirlinks = idx.dirlinks
-        iterations = 0
-        while active:
-            # bottleneck: the link offering the smallest fair share
-            # (ties -> smallest dense id, matching the kernels)
-            share = float("inf")
-            bottleneck = -1
-            for dense in active:
-                s = residual[dense] / unfixed[dense]
-                if s < share or (s == share and dense < bottleneck):
-                    share = s
-                    bottleneck = dense
-            newly = sorted(
-                fid for fid in link_flows[bottleneck] if fid not in fixed
-            )
-            iterations += 1
-            if on_bottleneck is not None:
-                on_bottleneck(dirlinks[bottleneck], share, len(newly))
-            if not newly:
-                # only drained-to-zero flows remain on this link: it
-                # can make no further progress -- retire it (liveness
-                # guard, mirrored exactly in the kernels)
-                active.discard(bottleneck)
-                continue
-            for fid in newly:
-                rates[fid] = share
-                fixed.add(fid)
-                for dense, mult in flow_links[fid]:
-                    residual[dense] -= share * mult
-                    unfixed[dense] -= mult
-            drained = [
-                dense for dense in active
-                if unfixed[dense] <= 0 or residual[dense] <= _EPS
-            ]
-            for dense in drained:
-                if unfixed[dense] > 0:
-                    # capacity exhausted with flows still unfixed: they
-                    # get ~0 (mirrors the oracle: no further debits)
-                    for fid in link_flows[dense]:
-                        if fid not in fixed:
-                            rates[fid] = 0.0
-                            fixed.add(fid)
-                active.discard(dense)
-            active = {
-                dense for dense in active
-                if unfixed[dense] > 0 and residual[dense] > _EPS
-            }
-        # flows never constrained by any link (e.g. empty paths) match
-        # the oracle's terminal setdefault: rate 0
-        for fid in flow_ids:
-            if fid not in fixed:
-                rates[fid] = 0.0
-        return iterations
-
-
-class VectorizedMaxMinSolver(IncrementalMaxMinSolver):
-    """The incremental solver with the flat-array waterfill kernel.
-
-    Same event machinery, dirty-set tracking, and full-solve fallback
-    as the base class; only :meth:`_fill` is replaced -- it snapshots
-    the touched component into CSR arrays
-    (:func:`repro.fabric.kernel.build_snapshot`) and runs the
-    numpy-vectorized kernel (pure-Python twin when numpy is absent).
-    Both kernels implement the base class's canonical fill order, so
-    spliced rates are byte-identical to the interpreted engine --
-    asserted by :class:`SolverEquivalence`.
-    """
-
-    def _fill(self, flow_ids: FrozenSet[int]) -> int:
-        from .kernel import build_snapshot, waterfill
-
-        snap = build_snapshot(self.index, flow_ids)
-        kernel_rates, iterations = waterfill(snap, self.on_bottleneck)
-        rates = self.rates
-        for fid, rate in zip(snap.flow_ids, kernel_rates):
-            rates[fid] = rate
-        return iterations
 
 
 # ======================================================================
@@ -411,17 +279,12 @@ class SolverEquivalence:
         events: Sequence[Tuple[float, int, bool]] = (),
         report: Optional[EquivalenceReport] = None,
         label: str = "case",
-        full_threshold: float = 0.5,
-        modes: Sequence[str] = ("full", "incremental"),
     ) -> EquivalenceReport:
-        """End-to-end: every engine over identical flows and failures.
+        """End-to-end: both engines over identical flows and failures.
 
         ``events`` are ``(time, link_id, up)`` link-state transitions.
-        ``modes`` names the engines to compare -- the first is the
-        baseline; ``"sharded:process"`` selects the sharded engine over
-        the process-pool backend. Link states are restored and flows
-        reset between (and after) the runs, so callers keep reusable
-        inputs.
+        Link states are restored and flows reset between (and after)
+        the runs, so callers keep reusable inputs.
         """
         from .simulator import FluidSimulator
 
@@ -429,14 +292,7 @@ class SolverEquivalence:
         initial_up = {lid: link.up for lid, link in topo.links.items()}
 
         def one_run(mode: str) -> Dict[int, float]:
-            engine, _, backend = mode.partition(":")
-            kwargs: Dict[str, object] = {}
-            if engine == "sharded" and backend:
-                kwargs["shard_backend"] = backend
-                kwargs["shard_workers"] = 2
-            sim = FluidSimulator(topo, solver=engine,
-                                 full_solve_threshold=full_threshold,
-                                 **kwargs)  # type: ignore[arg-type]
+            sim = FluidSimulator(topo, solver=mode)
             sim.add_flows(flows)
             for t, lid, up in events:
                 sim.schedule(
@@ -450,46 +306,35 @@ class SolverEquivalence:
                 for f in flows:
                     f.reset()
 
-        base_mode = modes[0]
-        finish_base = one_run(base_mode)
+        finish_full = one_run("full")
+        finish_inc = one_run("incremental")
         report.cases += 1
-        for mode in modes[1:]:
-            finish_other = one_run(mode)
-            for f in flows:
-                a = finish_base.get(f.flow_id)
-                b = finish_other.get(f.flow_id)
-                report.flows_checked += 1
-                if (a is None) != (b is None):
-                    report.failures.append(
-                        f"{label}: flow {f.flow_id} finished in one "
-                        f"engine only ({base_mode}={a!r} {mode}={b!r})"
-                    )
-                    continue
-                if a is None or b is None:
-                    continue
-                err = abs(a - b)
-                if err > report.max_finish_err:
-                    report.max_finish_err = err
-                if err > self.tol * max(1.0, abs(a)):
-                    report.failures.append(
-                        f"{label}: flow {f.flow_id} finish "
-                        f"{base_mode}={a!r} {mode}={b!r} (err {err:.3e})"
-                    )
+        for f in flows:
+            a = finish_full.get(f.flow_id)
+            b = finish_inc.get(f.flow_id)
+            report.flows_checked += 1
+            if (a is None) != (b is None):
+                report.failures.append(
+                    f"{label}: flow {f.flow_id} finished in one engine "
+                    f"only (full={a!r} incremental={b!r})"
+                )
+                continue
+            if a is None or b is None:
+                continue
+            err = abs(a - b)
+            if err > report.max_finish_err:
+                report.max_finish_err = err
+            if err > self.tol * max(1.0, abs(a)):
+                report.failures.append(
+                    f"{label}: flow {f.flow_id} finish full={a!r} "
+                    f"incremental={b!r} (err {err:.3e})"
+                )
         return report
 
     # ------------------------------------------------------------------
     def run_random(self, cases: int = 50, seed: int = 0,
-                   max_flows: int = 60,
-                   modes: Optional[Sequence[str]] = None,
-                   ) -> EquivalenceReport:
-        """A seeded campaign of randomized topology/flow/failure cases.
-
-        ``modes`` defaults to every engine -- full (the oracle),
-        incremental, vectorized, and sharded -- and every fifth case
-        additionally runs the sharded engine over the process-pool
-        backend, so cross-process pickling of shard payloads is
-        exercised without paying pool startup on all 50 cases.
-        """
+                   max_flows: int = 60) -> EquivalenceReport:
+        """A seeded campaign of randomized topology/flow/failure cases."""
         from ..routing import FiveTuple, shared_router
         from ..topos import (
             HpnSpec,
@@ -552,14 +397,8 @@ class SolverEquivalence:
                 t_down = rng.uniform(0.0001, 0.005)
                 events.append((t_down, lid, False))
                 events.append((t_down + rng.uniform(0.001, 0.01), lid, True))
-            case_modes = list(
-                modes if modes is not None
-                else ("full", "incremental", "vectorized", "sharded")
-            )
-            if modes is None and case % 5 == 0:
-                case_modes.append("sharded:process")
             self.check_run(topo, flows, events, report=report,
-                           label=f"case{case}", modes=case_modes)
+                           label=f"case{case}")
             # scripted solver-state check on a subset of the same flows
             sample = rng.sample(flows, min(len(flows), 12))
             script: List[Tuple[str, object]] = []
@@ -578,5 +417,4 @@ class SolverEquivalence:
                 report=report,
                 label=f"case{case}/rates",
             )
-            report.cases += 0  # check_run counted the case already
         return report

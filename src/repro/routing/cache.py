@@ -28,7 +28,6 @@ flushes everything; ``fib.compiles`` counts those recompiles.
 from __future__ import annotations
 
 import weakref
-from collections import Counter as _Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -181,8 +180,7 @@ class CachedRouter(Router):
             self.invalidate_all()
             return
         if self._state_cursor != topo.state_epoch:
-            counts = _Counter(topo.link_state_changes(self._state_cursor))
-            changed = [lid for lid, n in counts.items() if n % 2]
+            changed = topo.net_link_changes(self._state_cursor)
             dropped = self._paths.invalidate_links(changed)
             dropped += self._planes.invalidate_links(changed)
             self.stats.invalidations += dropped

@@ -183,10 +183,7 @@ class ServeState:
             self._serve_state_cursor = topo.state_epoch
             return
         if self._serve_state_cursor != topo.state_epoch:
-            counts: Dict[int, int] = {}
-            for lid in topo.link_state_changes(self._serve_state_cursor):
-                counts[lid] = counts.get(lid, 0) + 1
-            if any(n % 2 for n in counts.values()):
+            if topo.net_link_changes(self._serve_state_cursor):
                 self._result_memo.clear()
             self._serve_state_cursor = topo.state_epoch
 

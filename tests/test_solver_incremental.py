@@ -3,11 +3,15 @@
 Covers the pieces the rewrite added -- the persistent
 :class:`~repro.fabric.IncidenceIndex`, the
 :class:`~repro.fabric.IncrementalMaxMinSolver` dirty-set state machine
-(noop / incremental / full-fallback modes), the simulator's
-completion-heap event loop and batched arrivals -- plus regression
-tests for the satellite fixes (``until`` with stalled flows, the
-``flow.start`` emit-once guard, the oracle's dead-link pass).
+(noop / incremental / full modes, one fill per dirty component), the
+waterfill kernel, the simulator's completion-heap event loop and
+batched arrivals -- plus regression tests for the satellite fixes
+(``until`` with stalled flows, the ``flow.start`` emit-once guard, the
+oracle's dead-link pass).
 """
+
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,8 +21,10 @@ from repro.fabric import (
     FluidSimulator,
     IncidenceIndex,
     IncrementalMaxMinSolver,
+    build_snapshot,
     max_min_rates,
     run_flows,
+    waterfill,
 )
 from repro.obs import Recorder
 from repro.routing import FiveTuple, Router
@@ -89,7 +95,7 @@ class TestIncidenceIndex:
         hpn_mutable.set_link_state(victim // 2, True)
         assert idx.dense_of[victim] in idx.refresh_capacities(cap)
 
-    def test_component_closure_and_limit(self, hpn_small, hpn_router):
+    def test_component_closure(self, hpn_small, hpn_router):
         idx = IncidenceIndex()
         cap = _cap_of(hpn_small)
         # two flows share host0's NIC; a third is disjoint (host4->5)
@@ -103,13 +109,14 @@ class TestIncidenceIndex:
                         sport=50002)
         for f in (f1, f2, f3):
             idx.add(f, cap)
-        comp = idx.component([f1.flow_id], [], flow_limit=3)
-        assert comp is not None
-        comp_flows, comp_links = comp
+        comp_flows, comp_links = idx.component([f1.flow_id], [])
         assert comp_flows == {f1.flow_id, f2.flow_id}  # f3 unreachable
         assert all(idx.weight[d] > 0 for d in comp_links)
-        # the limit aborts the walk as soon as it is exceeded
-        assert idx.component([f1.flow_id], [], flow_limit=1) is None
+        # components() keeps the disjoint walks apart, by smallest id
+        comps = idx.components([f3.flow_id, f1.flow_id], [])
+        assert [c[0] for c in comps] == [{f1.flow_id, f2.flow_id},
+                                         {f3.flow_id}]
+        assert comps[0] == (comp_flows, comp_links)
 
     def test_multiplicity_counted(self, hpn_small, hpn_router):
         f = _edge_flow(hpn_small, hpn_router,
@@ -118,6 +125,37 @@ class TestIncidenceIndex:
         assert sum(mult.values()) == len(f.path.dirlinks)
         for dl in f.path.dirlinks:
             assert mult[dl] >= 1
+
+
+# ======================================================================
+class TestWaterfillKernel:
+    def test_matches_oracle_on_random_incidence(self):
+        """Synthetic incidence graphs: links crossed several times by
+        one flow (no routed path does this), dead and near-dead links,
+        empty paths -- per component, kernel == oracle to 1e-9."""
+        rng = random.Random(5)
+        for _case in range(200):
+            caps = [rng.choice([0.0, 1e-13, 1 / 3, 100.0, 400.0,
+                                rng.uniform(1.0, 400.0)])
+                    for _ in range(rng.randint(1, 24))]
+            flows = []
+            for fid in range(rng.randint(1, 30)):
+                dirlinks = [rng.randrange(len(caps))
+                            for _ in range(rng.randint(0, 5))]
+                mult = {dl: dirlinks.count(dl) for dl in dirlinks}
+                path = SimpleNamespace(
+                    dirlinks=dirlinks,
+                    dirlink_multiplicity=lambda m=mult: tuple(m.items()))
+                flows.append(SimpleNamespace(flow_id=fid, path=path))
+            idx = IncidenceIndex()
+            for f in flows:
+                idx.add(f, caps.__getitem__)
+            oracle = max_min_rates(flows, caps.__getitem__)
+            for comp_flows, _links in idx.components(idx.flows, ()):
+                snap = build_snapshot(idx, comp_flows)
+                rates, _iters = waterfill(snap)
+                for fid, rate in zip(snap.flow_ids, rates):
+                    assert rate == pytest.approx(oracle[fid], abs=1e-9)
 
 
 # ======================================================================
@@ -158,8 +196,7 @@ class TestIncrementalSolver:
         f3 = _edge_flow(hpn_small, hpn_router,
                         "pod0/seg0/host4", "pod0/seg0/host5", 1, GB,
                         sport=50002)
-        solver = IncrementalMaxMinSolver(_cap_of(hpn_small),
-                                         full_threshold=1.0)
+        solver = IncrementalMaxMinSolver(_cap_of(hpn_small))
         solver.activate(f1)
         solver.solve()
         solver.activate(f3)
@@ -168,15 +205,29 @@ class TestIncrementalSolver:
         assert outcome.touched == frozenset({f3.flow_id})
         assert f1.flow_id in solver.rates  # frozen rate spliced, not lost
 
-    def test_threshold_zero_forces_full(self, hpn_small, hpn_router):
-        f = _edge_flow(hpn_small, hpn_router,
-                       "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
-        solver = IncrementalMaxMinSolver(_cap_of(hpn_small),
-                                         full_threshold=0.0)
-        solver.activate(f)
+    def test_full_mode_when_dirty_covers_all_active(
+            self, hpn_small, hpn_router):
+        """"full" is reported exactly when the dirty components cover
+        every active flow -- here two disjoint ones, both dirty."""
+        f1 = _edge_flow(hpn_small, hpn_router,
+                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
+        f3 = _edge_flow(hpn_small, hpn_router,
+                        "pod0/seg0/host4", "pod0/seg0/host5", 1, GB,
+                        sport=50002)
+        solver = IncrementalMaxMinSolver(_cap_of(hpn_small))
+        solver.activate(f1)
+        solver.activate(f3)
         outcome = solver.solve()
         assert outcome.mode == "full"
+        assert outcome.touched == frozenset({f1.flow_id, f3.flow_id})
+        assert outcome.dirty_frac == 1.0
         assert solver.stats.full_solves == 1
+        # dirtying a link on f1's path re-solves only f1's component
+        solver.mark_link_dirty(f1.path.dirlinks[0])
+        outcome = solver.solve()
+        assert outcome.mode == "incremental"
+        assert outcome.touched == frozenset({f1.flow_id})
+        assert outcome.dirty_frac == 0.5
 
     def test_finish_dirties_vacated_links(self, hpn_small, hpn_router):
         a = hpn_small.hosts["pod0/seg0/host0"].nic_for_rail(0)
@@ -212,10 +263,6 @@ class TestIncrementalSolver:
         hpn_mutable.set_link_state(f.path.dirlinks[0] // 2, True)
         solver.solve()
         assert solver.rates[f.flow_id] == pytest.approx(200.0)
-
-    def test_bad_threshold_rejected(self, hpn_small):
-        with pytest.raises(ValueError):
-            IncrementalMaxMinSolver(_cap_of(hpn_small), full_threshold=1.5)
 
 
 # ======================================================================
@@ -319,6 +366,20 @@ class TestIncrementalEngineLoop:
                 + m.counter("sim.incremental_solves").value
                 + m.counter("sim.noop_solves").value) == total
         assert m.histogram("sim.dirty_frac").count > 0
+
+    def test_kernel_iters_recorded(self, hpn_small, hpn_router):
+        flows = [
+            _edge_flow(hpn_small, hpn_router,
+                       f"pod0/seg0/host{i}", f"pod0/seg1/host{i}", 0, GB,
+                       sport=50000 + i)
+            for i in range(4)
+        ]
+        rec = Recorder()
+        sim = FluidSimulator(hpn_small, recorder=rec)
+        sim.add_flows(flows)
+        sim.run()
+        iters = rec.metrics.counter("sim.kernel_iters").value
+        assert iters == sim._solver.stats.kernel_iters > 0
 
 
 # ======================================================================

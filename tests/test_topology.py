@@ -100,6 +100,24 @@ def test_fail_and_recover_node(topo):
     assert topo.switches["tor0"].up
 
 
+def test_net_link_changes_keeps_odd_toggles(topo):
+    links = [
+        topo.wire(topo.alloc_port("tor0", 400.0, PortKind.UP).ref,
+                  topo.alloc_port("tor1", 400.0, PortKind.DOWN).ref)
+        for _ in range(3)
+    ]
+    once, twice, thrice = (link.link_id for link in links)
+    since = topo.state_epoch
+    # interleaved, so log order differs from id order
+    for lid, up in [(thrice, False), (twice, False), (once, False),
+                    (thrice, True), (twice, True), (thrice, False)]:
+        topo.set_link_state(lid, up)
+    assert topo.net_link_changes(since) == sorted([once, thrice])
+    assert topo.net_link_changes(topo.state_epoch) == []
+    # a later cursor sees only the transitions after it
+    assert topo.net_link_changes(since + 3) == [twice]
+
+
 def test_fail_node_rejects_hosts(topo):
     with pytest.raises(TopologyError):
         topo.fail_node("h0")
