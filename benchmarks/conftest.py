@@ -17,6 +17,7 @@ import pytest
 
 from repro import Cluster, DcnPlusSpec, HpnSpec, SingleTorSpec, __version__
 from repro.engine.manifest import ExperimentRecord, RunManifest
+from repro.fabric.solver import IncrementalMaxMinSolver
 
 
 def report(title: str, lines) -> None:
@@ -24,6 +25,17 @@ def report(title: str, lines) -> None:
     print(f"\n=== {title} ===")
     for line in lines:
         print(f"  {line}")
+
+
+def set_fair_rates(cluster, flows):
+    """Set every flow's ``rate_gbps`` from one production-engine solve."""
+    solver = IncrementalMaxMinSolver(lambda dl: cluster.topo.links[dl // 2].gbps)
+    for f in flows:
+        solver.activate(f)
+    solver.solve()
+    for f in flows:
+        f.rate_gbps = solver.rates[f.flow_id]
+    return flows
 
 
 # ----------------------------------------------------------------------

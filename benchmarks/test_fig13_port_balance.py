@@ -12,25 +12,18 @@ links.
 """
 
 import pytest
-from conftest import report
+from conftest import report, set_fair_rates
 
 from repro import Cluster, DcnPlusSpec, HpnSpec
 from repro.analysis import mean_port_ratio, nic_port_balance
 from repro.core.units import GB
 from repro.collective.model import ring_allreduce_edge_bytes
-from repro.fabric.simulator import max_min_rates
 
 
 def _ring_load(cluster, hosts, num_conns=8):
     comm = cluster.communicator(hosts, num_conns=num_conns)
     per_edge = ring_allreduce_edge_bytes(GB, len(hosts))
-    flows = comm.all_rails_ring_flows(per_edge, tag="fig13")
-    rates = max_min_rates(
-        flows, lambda dl: cluster.topo.links[dl // 2].gbps
-    )
-    for f in flows:
-        f.rate_gbps = rates[f.flow_id]
-    return flows
+    return set_fair_rates(cluster, comm.all_rails_ring_flows(per_edge, tag="fig13"))
 
 
 @pytest.fixture(scope="module")

@@ -13,11 +13,10 @@ landed on 19 segments where 18 would fit).
 """
 
 import pytest
-from conftest import report
+from conftest import report, set_fair_rates
 
 from repro import Cluster, DcnPlusSpec, HpnSpec
 from repro.fabric import QueueTracker, agg_ingress_gbps
-from repro.fabric.simulator import max_min_rates
 from repro.training import GPT3_175B, ParallelismPlan, dp_sync_flows
 from repro.training.traffic import dp_gradient_bytes
 
@@ -76,11 +75,7 @@ def test_fig15a_training_throughput(benchmark, hpn_job, dcn_job):
 
 def _dp_flows_with_rates(cluster, job):
     grad = dp_gradient_bytes(GPT3_175B, PLAN)
-    flows = dp_sync_flows(job.comm, job.placement, grad)
-    rates = max_min_rates(flows, lambda dl: cluster.topo.links[dl // 2].gbps)
-    for f in flows:
-        f.rate_gbps = rates[f.flow_id]
-    return flows
+    return set_fair_rates(cluster, dp_sync_flows(job.comm, job.placement, grad))
 
 
 def test_fig15b_cross_segment_traffic(benchmark, hpn_job, dcn_job):

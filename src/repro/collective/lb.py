@@ -17,14 +17,20 @@ Three policies are provided so the ablation bench can compare them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import reduce
+from itertools import repeat
+from operator import add, attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.entities import Nic
 from ..core.errors import CollectiveError
 from ..routing.ecmp import Router
 from ..routing.path import FlowPath
 from ..routing.repac import find_paths
+
+_WQE_BYTES = attrgetter("wqe_bytes")
 
 
 @dataclass
@@ -118,7 +124,13 @@ def establish_conns(
 
 
 class SchedulingPolicy:
-    """Chooses the connection carrying the next message."""
+    """Chooses the connection carrying the next message.
+
+    Contract: :meth:`pick` returns one of ``conns`` and may depend only
+    on the connections' ``wqe_bytes`` and on ``msg_index % len(conns)``.
+    :meth:`MessageScheduler.send_all` relies on this to skip repeated
+    cycles of an equal-size stream; all three built-in policies meet it.
+    """
 
     def pick(self, conns: Sequence[Connection], msg_index: int) -> Connection:
         raise NotImplementedError
@@ -148,7 +160,9 @@ class MessageScheduler:
     ``drain_weights`` lets the caller model heterogeneous path quality:
     a connection's counter is drained proportionally to its weight
     between messages, so congested (low-weight) connections accumulate
-    backlog and the least-loaded policy naturally avoids them.
+    backlog and the least-loaded policy naturally avoids them. Weights
+    must be finite and non-negative with a positive sum; a zero weight
+    models a stalled connection.
     """
 
     conns: List[Connection]
@@ -159,23 +173,69 @@ class MessageScheduler:
         message_sizes: Sequence[float],
         drain_weights: Optional[Sequence[float]] = None,
     ) -> List[int]:
-        """Assign each message to a connection; returns chosen indices."""
-        if not self.conns:
+        """Assign each message to a connection; returns chosen indices.
+
+        Exact per message. In an equal-size stream the next pick depends
+        only on the WQE vector and ``msg_index % n`` (the
+        :class:`SchedulingPolicy` contract), so once that vector repeats
+        at a multiple of ``n`` every later step repeats too: the whole
+        cycles left are appended at once and only the remainder runs.
+        """
+        conns = self.conns
+        n = len(conns)
+        if not n:
             raise CollectiveError("no connections established")
-        weights = list(drain_weights) if drain_weights is not None else [1.0] * len(self.conns)
-        if len(weights) != len(self.conns):
-            raise CollectiveError("one drain weight per connection required")
-        chosen = []
-        total_w = sum(weights)
-        for i, size in enumerate(message_sizes):
-            conn = self.policy.pick(self.conns, i)
+        # each connection drains size * w / sum(weights) after every
+        # posting: service in proportion to its current path quality
+        if drain_weights is None:
+            shares = [1.0 / n] * n
+        else:
+            weights = list(drain_weights)
+            if len(weights) != n:
+                raise CollectiveError("one drain weight per connection required")
+            total_w = sum(weights)
+            if not (total_w > 0.0 and all(0.0 <= w < math.inf for w in weights)):
+                raise CollectiveError(
+                    "drain weights must be finite, non-negative and sum to more than 0"
+                )
+            shares = [w / total_w for w in weights]
+        # picks are recorded by identity: dataclass equality would compare
+        # every field, paths included, and match an equal twin first
+        ids = list(map(id, conns))
+        pick = self.policy.pick
+        sizes = list(message_sizes)
+        n_msgs = len(sizes)
+        chosen: List[int] = []
+        # WQE vector -> first message index it was seen at (multiples of n)
+        seen: Optional[Dict[Tuple[float, ...], int]] = None
+        if n_msgs > 2 * n:
+            size = sizes[0]
+            # NaN != NaN: a NaN stream runs every message
+            if size == size and sizes.count(size) == n_msgs:
+                seen = {}
+        i = 0
+        while i < n_msgs:
+            if seen is not None and not i % n:
+                first = seen.setdefault(tuple(map(_WQE_BYTES, conns)), i)
+                if first != i:
+                    cycle = chosen[first:]
+                    reps = (n_msgs - i) // len(cycle)
+                    chosen += cycle * reps
+                    for k, c in enumerate(conns):
+                        # one addition per post, exactly as post() rounds
+                        c.total_bytes = reduce(
+                            add, repeat(size, cycle.count(k) * reps), c.total_bytes
+                        )
+                    i += reps * len(cycle)
+                    seen = None
+                    continue
+            size = sizes[i]
+            conn = pick(conns, i)
             conn.post(size)
-            chosen.append(self.conns.index(conn))
-            # model service between postings: each connection drains in
-            # proportion to its current path quality
-            drain_budget = size
-            for c, w in zip(self.conns, weights):
-                c.complete(drain_budget * (w / total_w))
+            chosen.append(ids.index(id(conn)))
+            for c, share in zip(conns, shares):
+                c.complete(size * share)
+            i += 1
         return chosen
 
     def assigned_bytes(self) -> List[float]:

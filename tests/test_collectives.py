@@ -1,5 +1,8 @@
 """Collectives: cost model, connection LB, communicators, operations."""
 
+import math
+import random
+
 import pytest
 
 from repro.collective import (
@@ -118,6 +121,121 @@ class TestScheduler:
     def test_weight_arity_checked(self):
         with pytest.raises(CollectiveError):
             MessageScheduler(self._conns(2)).send_all([1.0], drain_weights=[1.0])
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.0, 0.0], [1.0, -1.0], [float("nan"), 1.0], [-1.0, 3.0]],
+        ids=["all-zero", "zero-sum", "nan", "negative"],
+    )
+    def test_bad_drain_weights_rejected(self, weights):
+        with pytest.raises(CollectiveError):
+            MessageScheduler(self._conns(2)).send_all([1.0] * 4, drain_weights=weights)
+
+    def test_single_zero_weight_models_a_stalled_connection(self):
+        conns = self._conns(2)
+        MessageScheduler(conns).send_all([10.0] * 20, drain_weights=[0.0, 1.0])
+        stalled, live = conns
+        assert stalled.wqe_bytes == stalled.total_bytes > 0.0
+        assert live.total_bytes > stalled.total_bytes
+
+
+def _reference_send_all(conns, policy, message_sizes, drain_weights=None):
+    """The per-message Algorithm 2 loop: the oracle for ``send_all``.
+
+    Test infrastructure only. Every message runs one ``pick``, one
+    ``post``, one ``list.index`` and one drain of every connection, with
+    no cycle skipping.
+    """
+    weights = list(drain_weights) if drain_weights is not None else [1.0] * len(conns)
+    chosen = []
+    total_w = sum(weights)
+    for i, size in enumerate(message_sizes):
+        conn = policy.pick(conns, i)
+        conn.post(size)
+        chosen.append(conns.index(conn))
+        drain_budget = size
+        for c, w in zip(conns, weights):
+            c.complete(drain_budget * (w / total_w))
+    return chosen
+
+
+_POLICIES = (LeastLoadedPolicy(), RoundRobinPolicy(), SingleConnectionPolicy())
+
+#: one DP-sync ring edge of the fig15 benchmark workload (Fig. 15a's
+#: GPT-3 job on HPN): 2 connections, 1,956 equal 4 MiB-class chunks
+_FIG15_EDGE_SIZE = float.fromhex("0x1.fff1157f36f82p+21")
+
+#: drain weights under which 8 connections' WQE vector never repeats
+#: within 3,000 equal messages (checked by the test that uses them)
+_NEVER_REPEATING_WEIGHTS = [0.49, 2.56, 2.31, 0.84, 1.54, 1.4, 1.99, 2.39]
+
+
+class TestSendAllMatchesReference:
+    """``send_all`` is byte-identical to the per-message loop."""
+
+    @staticmethod
+    def _conns(counters):
+        return [
+            Connection(sport=k, path=FlowPath(nodes=["a", "b"], dirlinks=[k]),
+                       wqe_bytes=wqe, total_bytes=total)
+            for k, (wqe, total) in enumerate(counters)
+        ]
+
+    def _check(self, policy, counters, sizes, weights=None):
+        ref_conns, conns = self._conns(counters), self._conns(counters)
+        want = _reference_send_all(ref_conns, policy, sizes, weights)
+        got = MessageScheduler(conns, policy).send_all(sizes, drain_weights=weights)
+        assert got == want
+        assert [(c.wqe_bytes.hex(), c.total_bytes.hex()) for c in conns] == [
+            (c.wqe_bytes.hex(), c.total_bytes.hex()) for c in ref_conns
+        ]
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[_FIG15_EDGE_SIZE] * 1956, [math.nan] * 40],
+        ids=["fig15-edge", "nan"],
+    )
+    def test_equal_size_stream(self, sizes):
+        self._check(LeastLoadedPolicy(), [(0.0, 0.0)] * 2, sizes)
+
+    def test_never_repeating_stream_runs_every_message(self):
+        weights, policy = _NEVER_REPEATING_WEIGHTS, LeastLoadedPolicy()
+        conns = self._conns([(0.0, 0.0)] * 8)
+        seen = set()
+        # 375 calls of 8 messages each: the same stream as one call of 3,000
+        for _ in range(375):
+            vector = tuple(c.wqe_bytes for c in conns)
+            assert vector not in seen
+            seen.add(vector)
+            _reference_send_all(conns, policy, [4.0] * 8, weights)
+        self._check(policy, [(0.0, 0.0)] * 8, [4.0] * 3000, weights)
+
+    def test_seeded_fuzz(self):
+        rng = random.Random(20241017)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            if rng.random() < 0.5:
+                counters = [(0.0, 0.0)] * n
+            else:
+                counters = [(rng.choice([0.0, rng.uniform(0.0, 40.0)]),
+                             rng.uniform(0.0, 1e3)) for _ in range(n)]
+            weights = None
+            if rng.random() < 0.6:
+                weights = [rng.choice([0.0, 0.2, 1.0, 3.0, rng.uniform(0.0, 5.0)])
+                           for _ in range(n)]
+                if not sum(weights) > 0.0:
+                    weights[rng.randrange(n)] = 1.0
+            m = rng.choice([0, 1, 2, rng.randint(3, 40), rng.randint(0, 3000)])
+            size = rng.choice([4.0, 10.0, 0.0, _FIG15_EDGE_SIZE, rng.uniform(0.1, 20.0)])
+            shape = rng.random()
+            if shape < 0.7:
+                sizes = [size] * m
+            elif shape < 0.85 and m:
+                sizes = [size] * m
+                sizes[rng.randrange(m)] = size + 1.0
+            else:
+                sizes = [rng.choice([4.0, 10.0, size]) for _ in range(m)]
+            self._check(rng.choice(_POLICIES), counters, sizes, weights)
 
 
 class TestCommunicator:
