@@ -34,6 +34,9 @@ from .errors import TopologyError
 
 Node = Union[Host, Switch]
 
+#: link tier label by the higher switch tier on the link
+_TIER_LABELS = {2: "agg", 3: "core"}
+
 
 @dataclass
 class Topology:
@@ -234,6 +237,18 @@ class Topology:
 
     def switches_by_role(self, role: SwitchRole) -> List[Switch]:
         return [s for s in self.switches.values() if s.role is role]
+
+    def link_tier(self, link_id: int) -> str:
+        """Tier label of a link: ``access`` when either end is a host,
+        otherwise ``agg`` / ``core`` / ``tierN`` by the higher switch
+        tier. Both directions of a link share the label."""
+        link = self.links[link_id]
+        sa = self.switches.get(link.a.node)
+        sb = self.switches.get(link.b.node)
+        if sa is None or sb is None:
+            return "access"
+        top = max(sa.tier, sb.tier)
+        return _TIER_LABELS.get(top, f"tier{top}")
 
     def tor_for_nic_port(self, host: str, nic_index: int, nic_port: int) -> Optional[str]:
         """ToR name reached by a specific NIC port, or None if unwired."""

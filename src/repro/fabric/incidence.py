@@ -11,8 +11,8 @@ weight) lives in flat ``array`` vectors keyed by dense id instead of
 per-solve dicts.
 
 Dense ids also make the dirty-set machinery cheap: connected-component
-walks and capacity-refresh sweeps touch plain list/array slots, not
-hash tables keyed by sparse dirlink ids.
+walks and capacity re-reads touch plain list/array slots, not hash
+tables keyed by sparse dirlink ids.
 """
 
 from __future__ import annotations
@@ -105,26 +105,18 @@ class IncidenceIndex:
 
     # ------------------------------------------------------------------
     def refresh_capacities(
-        self, link_gbps: Callable[[int], float]
-    ) -> List[int]:
-        """Re-read every indexed link's capacity; return changed ids.
+        self, link_gbps: Callable[[int], float], dense_ids: Iterable[int]
+    ) -> None:
+        """Re-read the capacity of the given links (dense ids).
 
-        This is the sweep that picks up out-of-band topology mutation
-        (failure injection toggling ``link.up``, capacity edits) --
-        O(distinct links), which is far below O(flows) on every
-        workload the benchmarks run.
+        The caller names the links that may have changed -- the
+        solver's dirty set -- so the cost is O(given links), never
+        O(indexed links).
         """
-        changed: List[int] = []
         cap = self.cap
-        for dense, raw in enumerate(self.dirlinks):
-            now_gbps = link_gbps(raw)
-            # exact compare on purpose: any observable change (incl.
-            # down -> 0.0) must dirty the link; tolerance would let
-            # sub-eps capacity edits leak stale rates
-            if now_gbps != cap[dense]:  # repro: noqa[LINT001]
-                cap[dense] = now_gbps
-                changed.append(dense)
-        return changed
+        dirlinks = self.dirlinks
+        for dense in dense_ids:
+            cap[dense] = link_gbps(dirlinks[dense])
 
     # ------------------------------------------------------------------
     def component(

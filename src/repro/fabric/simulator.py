@@ -17,8 +17,11 @@ re-solving rates at each boundary. Two solver engines are available:
   flow<->link incidence index, dirty-set re-solve of only the
   connected components an event touched (each filled on its own by
   :func:`~repro.fabric.kernel.waterfill`), a completion-time heap with
-  lazy invalidation, and lazy per-flow progress accounting. Per
-  boundary this costs O(dirty component), not O(active flows).
+  lazy invalidation, and lazy per-flow progress accounting. Link
+  failures reach it from the topology's link-state log, and with a
+  recorder attached the per-link loads are maintained from the same
+  dirty set. Per boundary this costs O(dirty component), not
+  O(active flows).
 * ``solver="full"`` -- the original from-scratch
   :func:`max_min_rates` at every boundary. Kept as the
   differential-testing oracle (see
@@ -32,9 +35,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..core.errors import SimulationError
 from ..core.topology import Topology
@@ -159,6 +173,103 @@ class SimResult:
         return self.finish_time
 
 
+class _LinkView:
+    """Per-dirlink load and flow count, and per-tier peak utilization,
+    kept current from each solve's dirty links.
+
+    The incremental engine keeps one when a recorder is attached.
+    Arrays are indexed by the solver's dense link ids. A link's load is
+    a left fold from 0.0 over its flows' committed rates in
+    ``IncidenceIndex.link_flows`` order (activation order), one term
+    per flow however often its path visits the link: the additions,
+    in order, of the from-scratch walk
+    (:meth:`FluidSimulator._walk_link_util`), so every value is
+    bit-identical to it. A link counts as *live* while it carries a
+    flow and has capacity; only live links have a utilization above 0.
+    """
+
+    __slots__ = ("_topo", "_index", "_rates", "load", "_tier",
+                 "_tier_links", "peak", "_argmax", "live_util",
+                 "live_count")
+
+    def __init__(self, topo: Topology, solver: IncrementalMaxMinSolver):
+        self._topo = topo
+        self._index = solver.index
+        self._rates = solver.rates
+        self.load = array("d")
+        self._tier: List[str] = []
+        #: tier -> its indexed raw dirlinks
+        self._tier_links: Dict[str, List[int]] = {}
+        #: tier -> peak utilization, and the raw dirlink holding it
+        self.peak: Dict[str, float] = {}
+        self._argmax: Dict[str, int] = {}
+        #: raw dirlink -> utilization / flow count, live links only
+        self.live_util: Dict[int, float] = {}
+        self.live_count: Dict[int, int] = {}
+
+    def update(self, components: List[Tuple[Set[int], Set[int]]],
+               dirty_links: Set[int]) -> None:
+        """The solver's ``on_filled`` hook: recompute exactly the links
+        a solve may have moved, every link of a filled component plus
+        the dirty links left without flows. Other links' flows, rates
+        and capacities are unchanged.
+        """
+        index = self._index
+        link_flows = index.link_flows
+        rates = self._rates
+        for raw in index.dirlinks[len(self.load):]:
+            tier = self._topo.link_tier(raw // 2)
+            self.load.append(0.0)
+            self._tier.append(tier)
+            self._tier_links.setdefault(tier, []).append(raw)
+            if tier not in self.peak:
+                self.peak[tier] = 0.0
+                self._argmax[tier] = raw
+        vacated = [dense for dense in dirty_links if not link_flows[dense]]
+        cap = index.cap
+        dirlinks = index.dirlinks
+        load = self.load
+        tier_of = self._tier
+        peak = self.peak
+        argmax = self._argmax
+        live_util = self.live_util
+        live_count = self.live_count
+        stale: Set[str] = set()
+        # the values do not depend on the visiting order; only which of
+        # several equal-peak links holds the argmax does
+        groups = itertools.chain(
+            (links for _flows, links in components), (vacated,))
+        for links in groups:
+            for dense in links:
+                flows = link_flows[dense]
+                total = 0.0
+                for fid in flows:
+                    total += rates[fid]
+                load[dense] = total
+                gbps = cap[dense]
+                raw = dirlinks[dense]
+                if flows and gbps > _EPS:
+                    u = total / gbps
+                    live_util[raw] = u
+                    live_count[raw] = len(flows)
+                else:
+                    u = 0.0
+                    live_util.pop(raw, None)
+                    live_count.pop(raw, None)
+                tier = tier_of[dense]
+                if u >= peak[tier]:
+                    peak[tier] = u
+                    argmax[tier] = raw
+                elif argmax[tier] == raw:
+                    stale.add(tier)
+        # the argmax fell (or lost its flows, or went down): rescan
+        for tier in sorted(stale):
+            best = max(self._tier_links[tier],
+                       key=lambda raw: live_util.get(raw, 0.0))
+            peak[tier] = live_util.get(best, 0.0)
+            argmax[tier] = best
+
+
 class FluidSimulator:
     """Event-driven fluid simulator over one topology.
 
@@ -205,8 +316,9 @@ class FluidSimulator:
             self._m_finished = m.counter("sim.flows_finished")
             self._m_rate_changes = m.counter("sim.rate_changes")
             self._m_kernel_iters = m.counter("sim.kernel_iters")
-            self._tier_label: Dict[int, str] = {}
+            self._g_link_util: Dict[str, Any] = {}
         self._solver: Optional[IncrementalMaxMinSolver] = None
+        self._view: Optional[_LinkView] = None
         if solver == "incremental":
             self._solver = IncrementalMaxMinSolver(
                 self.link_gbps,
@@ -214,6 +326,12 @@ class FluidSimulator:
                     self._record_bottleneck if self._rec is not None else None
                 ),
             )
+            #: link-state log cursor: transitions before it have been
+            #: reported to the solver (links indexed later read fresh)
+            self._state_cursor = topo.state_epoch
+            if self._rec is not None:
+                self._view = _LinkView(topo, self._solver)
+                self._solver.on_filled = self._view.update
         #: (predicted finish time, flow heap epoch, flow id) entries;
         #: stale entries (epoch mismatch / flow gone) are discarded
         #: lazily on peek -- no O(active) completion scans
@@ -298,10 +416,13 @@ class FluidSimulator:
                     self._pop_due_events()
                     continue
 
+                self._report_link_changes()
                 outcome = solver.solve()
                 self._commit(outcome)
-                if self._rec is not None:
-                    self._record_link_util()
+                view = self._view
+                if view is not None:
+                    self._publish_link_util(
+                        view.peak, view.live_util, view.live_count)
                 if self.on_solve is not None:
                     self.on_solve(self, solver.rates)
                 if self.sample_links:
@@ -336,6 +457,23 @@ class FluidSimulator:
             flow_finish=dict(self._flow_finish),
             samples=self._samples,
         )
+
+    def _report_link_changes(self) -> None:
+        """Dirty both directions of every link whose state differs
+        from the cursor's epoch, then advance the cursor.
+
+        Net changes only: a what-if failure restored before the solve
+        (``Topology.transient_state``) re-solves nothing.
+        """
+        topo = self.topo
+        if self._state_cursor == topo.state_epoch:
+            return
+        solver = self._solver
+        assert solver is not None
+        for lid in topo.net_link_changes(self._state_cursor):
+            solver.mark_link_dirty(2 * lid)
+            solver.mark_link_dirty(2 * lid + 1)
+        self._state_cursor = topo.state_epoch
 
     def _commit(self, outcome: SolveOutcome) -> None:
         """Apply a solve: update touched flows' rates and heap entries.
@@ -543,58 +681,64 @@ class FluidSimulator:
             flows=flows_fixed,
         )
 
-    def _dirlink_tier(self, dirlink: int) -> str:
-        """Tier label of a directed link: access / agg / core / tierN."""
-        label = self._tier_label.get(dirlink)
-        if label is None:
-            link = self.topo.links[dirlink // 2]
-            sa = self.topo.switches.get(link.a.node)
-            sb = self.topo.switches.get(link.b.node)
-            if sa is None or sb is None:
-                label = "access"
-            else:
-                top = max(sa.tier, sb.tier)
-                label = {2: "agg", 3: "core"}.get(top, f"tier{top}")
-            self._tier_label[dirlink] = label
-        return label
+    def _walk_link_util(self) -> Tuple[
+            Dict[int, float], Dict[int, int], Dict[int, float],
+            Dict[str, float]]:
+        """From-scratch link view over every active flow.
 
-    def _record_link_util(self) -> None:
-        """Sample per-tier peak link utilization after a rate solve.
-
-        When a health hub is attached the same pass also counts flows
-        per directed link and hands both maps to the hub's samplers
-        (decimated by ``hub.wants_sample()``), so health monitoring
-        adds no extra traversal of the active set.
+        Returns ``(loads, counts, utils, peaks)``: Gbps and flow count
+        of every directed link an active flow crosses (each flow once
+        per link), utilization of the live ones among them (with
+        capacity), and each tier's peak utilization, for tiers whose
+        peak is above 0. The full engine records from this walk; the
+        incremental engine maintains the same values in its
+        :class:`_LinkView` (the tests compare the two).
         """
-        hub = self._hub
-        counts: Optional[Dict[int, int]] = (
-            {} if hub is not None and hub.wants_sample() else None
-        )
         loads: Dict[int, float] = {}
-        if counts is None:
-            for flow in self._active.values():
-                for dl in dict.fromkeys(flow.path.dirlinks):
-                    loads[dl] = loads.get(dl, 0.0) + flow.rate_gbps
-        else:
-            for flow in self._active.values():
-                for dl in dict.fromkeys(flow.path.dirlinks):
-                    loads[dl] = loads.get(dl, 0.0) + flow.rate_gbps
-                    counts[dl] = counts.get(dl, 0) + 1
-        per_tier: Dict[str, float] = {}
+        counts: Dict[int, int] = {}
+        for flow in self._active.values():
+            for dl in dict.fromkeys(flow.path.dirlinks):
+                loads[dl] = loads.get(dl, 0.0) + flow.rate_gbps
+                counts[dl] = counts.get(dl, 0) + 1
+        utils: Dict[int, float] = {}
+        peaks: Dict[str, float] = {}
         for dl, load in loads.items():
             cap = self.link_gbps(dl)
             if cap <= _EPS:
                 continue
-            tier = self._dirlink_tier(dl)
-            util = load / cap
-            if util > per_tier.get(tier, 0.0):
-                per_tier[tier] = util
-        for tier, util in per_tier.items():
-            self._rec.metrics.gauge("link_util", tier=tier).set(
-                util, ts_s=self.now
-            )
-        if counts is not None:
-            hub.sample_fluid(self, loads, counts)
+            util = utils[dl] = load / cap
+            tier = self.topo.link_tier(dl // 2)
+            if util > peaks.get(tier, 0.0):
+                peaks[tier] = util
+        return loads, counts, utils, peaks
+
+    def _record_link_util(self) -> None:
+        """Full engine: record link utilization from a from-scratch walk."""
+        _loads, counts, utils, peaks = self._walk_link_util()
+        self._publish_link_util(peaks, utils, counts)
+
+    def _publish_link_util(self, peaks: Mapping[str, float],
+                           utils: Mapping[int, float],
+                           counts: Mapping[int, int]) -> None:
+        """Record one solve's link utilization.
+
+        Sets ``link_util{tier}`` for every tier whose peak is above 0
+        and, on an acted health sample (``hub.wants_sample()``), hands
+        the live links' utilization and flow counts to the hub.
+        """
+        now = self.now
+        gauges = self._g_link_util
+        for tier in sorted(peaks):
+            util = peaks[tier]
+            if util > 0.0:
+                gauge = gauges.get(tier)
+                if gauge is None:
+                    gauge = gauges[tier] = self._rec.metrics.gauge(
+                        "link_util", tier=tier)
+                gauge.set(util, ts_s=now)
+        hub = self._hub
+        if hub is not None and hub.wants_sample():
+            hub.sample_fluid(self, utils, counts)
 
     def oracle_drift(self) -> float:
         """Max |committed - oracle| rate (Gbps) over active flows.

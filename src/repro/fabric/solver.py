@@ -23,6 +23,7 @@ asserts the rates agree to ``1e-9``.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import (
@@ -36,6 +37,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.topology import Topology
 from .flow import Flow
 from .incidence import IncidenceIndex
 from .kernel import build_snapshot, waterfill
@@ -83,6 +85,10 @@ class SolveOutcome:
 
 _NOOP = SolveOutcome("noop", frozenset(), 0.0)
 
+#: end-of-fill hook: (components, dirty dense links the solve consumed)
+FilledHook = Optional[
+    Callable[[List[Tuple[Set[int], Set[int]]], Set[int]], None]]
+
 
 class IncrementalMaxMinSolver:
     """Event-maintained max-min fairness over an incidence index.
@@ -90,6 +96,22 @@ class IncrementalMaxMinSolver:
     ``link_gbps(raw_dirlink)`` supplies capacities (0 marks a link
     down). ``on_bottleneck(raw_dirlink, share, flows_fixed)`` fires per
     progressive-filling iteration, exactly like the oracle's hook.
+    ``on_filled(components, dirty_links)`` fires at the end of every
+    solve that filled anything, after :attr:`rates` is updated: the
+    ``(flow ids, dense links)`` pairs
+    :meth:`~repro.fabric.incidence.IncidenceIndex.components` built,
+    and the dirty dense links the solve consumed (vacated by finished
+    flows or reported through :meth:`mark_link_dirty`). Together they
+    are every link whose load may have moved; the simulator's link
+    view maintains loads from them. Both are the solver's working
+    sets, not copies: read them inside the hook (the dirty set is
+    cleared when it returns).
+
+    The solver never polls capacities: a link's capacity is read when
+    the link is first indexed and re-read only when the link is dirty.
+    A caller that changes an indexed link's capacity must report it
+    with :meth:`mark_link_dirty` before the next :meth:`solve`; the
+    simulator does so from the topology's link-state log.
     """
 
     def __init__(
@@ -105,6 +127,9 @@ class IncrementalMaxMinSolver:
         self._link_gbps = link_gbps
         self._dirty_flows: Set[int] = set()
         self._dirty_links: Set[int] = set()
+        #: dense ids below this were indexed before the last solve
+        self._solved_links = 0
+        self.on_filled: FilledHook = None
 
     # -- event notifications -------------------------------------------
     def activate(self, flow: Flow) -> None:
@@ -119,7 +144,13 @@ class IncrementalMaxMinSolver:
         self.rates.pop(flow.flow_id, None)
 
     def mark_link_dirty(self, raw_dirlink: int) -> None:
-        """Explicitly dirty a link (capacity sweeps catch this anyway)."""
+        """Report a link whose capacity may have changed.
+
+        The next :meth:`solve` re-reads its capacity and re-solves its
+        component. This is the only way a capacity change reaches the
+        solver: nothing sweeps the indexed links. A link the index has
+        not seen is ignored (it is read fresh when first indexed).
+        """
         dense = self.index.dense_of.get(raw_dirlink)
         if dense is not None:
             self._dirty_links.add(dense)
@@ -133,13 +164,18 @@ class IncrementalMaxMinSolver:
         rates outside it.
         """
         index = self.index
-        self._dirty_links.update(index.refresh_capacities(self._link_gbps))
-        if not self._dirty_flows and not self._dirty_links:
+        dirty_links = self._dirty_links
+        if not self._dirty_flows and not dirty_links:
             self.stats.noop_solves += 1
             return _NOOP
-        comps = index.components(self._dirty_flows, self._dirty_links)
+        # links indexed since the last solve are re-read as well: one
+        # may have changed state after its first read and back again,
+        # which no net link change reports (their flows are all dirty)
+        index.refresh_capacities(self._link_gbps, itertools.chain(
+            dirty_links, range(self._solved_links, index.num_links)))
+        self._solved_links = index.num_links
+        comps = index.components(self._dirty_flows, dirty_links)
         self._dirty_flows.clear()
-        self._dirty_links.clear()
         rates = self.rates
         touched: Set[int] = set()
         iters = 0
@@ -149,6 +185,9 @@ class IncrementalMaxMinSolver:
             rates.update(zip(snap.flow_ids, comp_rates))
             touched.update(comp_flows)
             iters += comp_iters
+        if self.on_filled is not None:
+            self.on_filled(comps, dirty_links)
+        dirty_links.clear()
         n_active = len(index.flows)
         stats = self.stats
         stats.active_flow_boundaries += n_active
@@ -226,7 +265,10 @@ class SolverEquivalence:
         ``script`` is a sequence of ``("activate", flow)``,
         ``("finish", flow)``, and ``("cap", (dirlink, gbps))`` steps
         applied on top of activating ``flows``; after every solve the
-        spliced rates are compared to the oracle on the live set.
+        spliced rates are compared to the oracle on the live set. A
+        ``"cap"`` step reports the link through ``mark_link_dirty``, as
+        the solver's contract asks; the oracle reads every capacity
+        fresh, so a change the solver fails to pick up is caught.
         """
         from .simulator import max_min_rates
 
@@ -266,6 +308,7 @@ class SolverEquivalence:
             elif op == "cap":
                 dl, gbps = arg  # type: ignore[misc]
                 caps[dl] = gbps
+                solver.mark_link_dirty(dl)
             else:
                 raise ValueError(f"unknown script op {op!r}")
             compare(f"step{i}:{op}")
@@ -332,9 +375,17 @@ class SolverEquivalence:
         return report
 
     # ------------------------------------------------------------------
-    def run_random(self, cases: int = 50, seed: int = 0,
-                   max_flows: int = 60) -> EquivalenceReport:
-        """A seeded campaign of randomized topology/flow/failure cases."""
+    @staticmethod
+    def random_case(
+        rng: random.Random, max_flows: int = 60, tag: str = "eqv"
+    ) -> Tuple[Topology, List[Flow], List[Tuple[float, int, bool]]]:
+        """One randomized ``(topology, flows, link_events)`` case.
+
+        An HPN, rail-only or single-ToR shape, a routed flow set with
+        staggered starts and, in most cases with two or more flows, a
+        down/up flap of a link some flow crosses. Events are
+        ``(time, link_id, up)``; none are drawn for fewer than 2 flows.
+        """
         from ..routing import FiveTuple, shared_router
         from ..topos import (
             HpnSpec,
@@ -345,58 +396,65 @@ class SolverEquivalence:
             build_singletor,
         )
 
+        shape = rng.random()
+        if shape < 0.55:
+            topo = build_hpn(HpnSpec(
+                segments_per_pod=rng.choice([1, 2]),
+                hosts_per_segment=rng.choice([4, 6, 8]),
+                backup_hosts_per_segment=0,
+                aggs_per_plane=rng.choice([2, 4]),
+                agg_core_uplinks=0,
+            ))
+        elif shape < 0.75:
+            topo = build_railonly(RailOnlySpec(
+                segments_per_pod=rng.choice([1, 2]),
+                hosts_per_segment=rng.choice([4, 8]),
+                aggs_per_plane=rng.choice([2, 4]),
+            ))
+        else:
+            topo = build_singletor(SingleTorSpec(
+                segments=rng.choice([1, 2]),
+                hosts_per_segment=rng.choice([4, 8]),
+            ))
+        router = shared_router(topo)
+        hosts = sorted(topo.hosts)
+        rails = [n.rail for n in topo.hosts[hosts[0]].backend_nics()]
+        flows: List[Flow] = []
+        n_flows = rng.randrange(8, max_flows)
+        requests = []
+        for i in range(n_flows):
+            src, dst = rng.sample(hosts, 2)
+            rail = rng.choice(rails) if rails else 0
+            a = topo.hosts[src].nic_for_rail(rail)
+            b = topo.hosts[dst].nic_for_rail(rail)
+            requests.append((a, b, FiveTuple(a.ip, b.ip, 49152 + i, 4791), None))
+        paths = router.route_many(requests, strict=False)
+        for (a, b, ft, _plane), path in zip(requests, paths):
+            if path is None:
+                continue
+            f = Flow(ft, rng.uniform(1e6, 5e8), path,
+                     start_time=rng.choice([0.0, 0.0, rng.uniform(0, 0.01)]),
+                     tag=tag)
+            flows.append(f)
+        events: List[Tuple[float, int, bool]] = []
+        if len(flows) >= 2 and rng.random() < 0.6:
+            victim = rng.choice(flows)
+            lid = rng.choice(victim.path.dirlinks) // 2
+            t_down = rng.uniform(0.0001, 0.005)
+            events.append((t_down, lid, False))
+            events.append((t_down + rng.uniform(0.001, 0.01), lid, True))
+        return topo, flows, events
+
+    def run_random(self, cases: int = 50, seed: int = 0,
+                   max_flows: int = 60) -> EquivalenceReport:
+        """A seeded campaign of randomized topology/flow/failure cases."""
         rng = random.Random(seed)
         report = EquivalenceReport()
         for case in range(cases):
-            shape = rng.random()
-            if shape < 0.55:
-                topo = build_hpn(HpnSpec(
-                    segments_per_pod=rng.choice([1, 2]),
-                    hosts_per_segment=rng.choice([4, 6, 8]),
-                    backup_hosts_per_segment=0,
-                    aggs_per_plane=rng.choice([2, 4]),
-                    agg_core_uplinks=0,
-                ))
-            elif shape < 0.75:
-                topo = build_railonly(RailOnlySpec(
-                    segments_per_pod=rng.choice([1, 2]),
-                    hosts_per_segment=rng.choice([4, 8]),
-                    aggs_per_plane=rng.choice([2, 4]),
-                ))
-            else:
-                topo = build_singletor(SingleTorSpec(
-                    segments=rng.choice([1, 2]),
-                    hosts_per_segment=rng.choice([4, 8]),
-                ))
-            router = shared_router(topo)
-            hosts = sorted(topo.hosts)
-            rails = [n.rail for n in topo.hosts[hosts[0]].backend_nics()]
-            flows: List[Flow] = []
-            n_flows = rng.randrange(8, max_flows)
-            requests = []
-            for i in range(n_flows):
-                src, dst = rng.sample(hosts, 2)
-                rail = rng.choice(rails) if rails else 0
-                a = topo.hosts[src].nic_for_rail(rail)
-                b = topo.hosts[dst].nic_for_rail(rail)
-                requests.append((a, b, FiveTuple(a.ip, b.ip, 49152 + i, 4791), None))
-            paths = router.route_many(requests, strict=False)
-            for (a, b, ft, _plane), path in zip(requests, paths):
-                if path is None:
-                    continue
-                f = Flow(ft, rng.uniform(1e6, 5e8), path,
-                         start_time=rng.choice([0.0, 0.0, rng.uniform(0, 0.01)]),
-                         tag=f"eqv{case}")
-                flows.append(f)
+            topo, flows, events = self.random_case(
+                rng, max_flows, tag=f"eqv{case}")
             if len(flows) < 2:
                 continue
-            events: List[Tuple[float, int, bool]] = []
-            if rng.random() < 0.6:
-                victim = rng.choice(flows)
-                lid = rng.choice(victim.path.dirlinks) // 2
-                t_down = rng.uniform(0.0001, 0.005)
-                events.append((t_down, lid, False))
-                events.append((t_down + rng.uniform(0.001, 0.01), lid, True))
             self.check_run(topo, flows, events, report=report,
                            label=f"case{case}")
             # scripted solver-state check on a subset of the same flows

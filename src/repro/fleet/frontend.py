@@ -143,24 +143,17 @@ def tier_peak_utilization(
 ) -> Dict[str, float]:
     """Peak link utilization per tier from a dirlink -> Gbps load map.
 
-    Tier labels follow the simulator's convention: ``access`` for
-    host-facing links, ``agg``/``core``/``tierN`` by the higher switch
-    tier on the link. Shared by the frontend model and the backend
-    interference snapshots.
+    Tier labels are :meth:`~repro.core.topology.Topology.link_tier`'s.
+    Shared by the frontend model and the backend interference
+    snapshots.
     """
     per_tier: Dict[str, float] = {}
     for dl in sorted(loads):
         link = topo.links[dl // 2]
         if not link.up or link.gbps <= _EPS:
             continue
-        sa = topo.switches.get(link.a.node)
-        sb = topo.switches.get(link.b.node)
-        if sa is None or sb is None:
-            tier = "access"
-        else:
-            top = max(sa.tier, sb.tier)
-            tier = {2: "agg", 3: "core"}.get(top, f"tier{top}")
         util = loads[dl] / link.gbps
+        tier = topo.link_tier(dl // 2)
         if util > per_tier.get(tier, 0.0):
             per_tier[tier] = util
     return per_tier

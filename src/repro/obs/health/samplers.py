@@ -23,9 +23,8 @@ Everything the detectors consume is *also* recorded as sparse
 (:func:`repro.obs.health.engine.replay`) reproduce the live verdicts.
 
 The hub never imports fabric/routing/fleet -- it duck-types over the
-simulator (``sim.now``, ``sim.topo``, ``sim.link_gbps``,
-``sim.oracle_drift``) so the dependency points from the simulation
-layers *into* obs, not back.
+simulator (``sim.now``, ``sim.topo``, ``sim.oracle_drift``) so the
+dependency points from the simulation layers *into* obs, not back.
 """
 
 from __future__ import annotations
@@ -133,13 +132,15 @@ class SamplerHub:
         self._drift.close_all(now)
 
     # -- fluid fabric samples ------------------------------------------
-    def sample_fluid(self, sim, loads: Mapping[int, float],
+    def sample_fluid(self, sim, utils: Mapping[int, float],
                      counts: Mapping[int, int]) -> None:
         """One acted-on sample of a fluid simulator's link state.
 
-        ``loads`` maps directed links to offered Gbps, ``counts`` to
-        the number of active flows crossing them (both computed by the
-        caller in its existing per-solve pass).
+        ``utils`` maps every live directed link (carrying a flow, with
+        capacity) to its utilization, load over capacity; ``counts``
+        maps the same links to the number of active flows crossing
+        them. The simulator keeps both current per solve, so sampling
+        costs O(live links), with no per-link capacity reads.
         """
         now = sim.now
         self._advance_timeline(now)
@@ -159,11 +160,8 @@ class SamplerHub:
         tor_counts: Dict[str, Dict[int, int]] = {}
         h_frac = self._h_frac
         link_meta = self._link_meta
-        for dl in sorted(loads):
-            cap = sim.link_gbps(dl)
-            if cap <= 0.0:
-                continue
-            util = loads[dl] / cap
+        for dl in sorted(utils):
+            util = utils[dl]
             meta = link_meta.get(dl)
             if meta is None:
                 meta = self._meta(topo, dl)
@@ -180,7 +178,7 @@ class SamplerHub:
                     buckets=FRACTION_BUCKETS, tier=tier)
             hist.observe(util)
             if tor is not None:
-                tor_counts.setdefault(tor, {})[dl] = counts.get(dl, 0)
+                tor_counts.setdefault(tor, {})[dl] = counts[dl]
         for tier in sorted(per_tier):
             g = self._g_tier.get(tier)
             if g is None:
@@ -292,11 +290,7 @@ class SamplerHub:
                 a, b = b, a
             sa = topo.switches.get(a)
             sb = topo.switches.get(b)
-            if sa is None or sb is None:
-                tier = "access"
-            else:
-                top = max(sa.tier, sb.tier)
-                tier = {2: "agg", 3: "core"}.get(top, f"tier{top}")
+            tier = topo.link_tier(link.link_id)
             plane = None
             for sw in (sa, sb):
                 if sw is not None and sw.plane is not None:

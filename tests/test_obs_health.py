@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from repro.obs import HealthConfig, HealthEngine, HealthReport, Recorder
+from repro.fabric import FluidSimulator, SolverEquivalence
+from repro.fabric.simbench import build_reference_workload
+from repro.obs import (
+    HealthConfig,
+    HealthEngine,
+    HealthReport,
+    Recorder,
+    recording,
+)
 from repro.obs.health import (
     ERROR,
     RULE_FAILOVER_SLO,
@@ -18,6 +31,10 @@ from repro.obs.health import (
     InterferenceDetector,
     replay,
 )
+from repro.obs.health.scenario import run_health_scenario
+
+HEALTH_GOLDEN = Path(__file__).with_name("health_golden.json")
+SOLVER_GOLDEN = Path(__file__).with_name("solver_golden.json")
 
 
 def _collect():
@@ -282,3 +299,94 @@ class TestReplay:
         rec.metrics.gauge("link_util", tier="agg").set(1.0, ts_s=1.0)
         rec.metrics.counter("sim.solves").inc()
         assert replay([], rec.metrics.snapshot()).incidents == []
+
+
+# ----------------------------------------------------------------------
+# golden bytes: every metric series of two monitored runs
+# ----------------------------------------------------------------------
+def _series_digests(snapshot):
+    return {
+        name: hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()).hexdigest()
+        for name, body in snapshot.items()
+    }
+
+
+class TestMonitoredGoldenBytes:
+    """Every metric series of two monitored runs, bit for bit.
+
+    ``health_golden.json`` holds one sha256 per series of
+    ``Recorder.metrics.snapshot()`` (JSON with sorted keys, so every
+    float is compared by its exact repr) for:
+
+    * the reference workload of ``solver_golden.json`` (seed 7, with
+      its link flap), watched by a HealthEngine whose streak minimums
+      are 4 ms: 1,034 solves, 132 incidents, 156 series;
+    * ``health.scenario`` in faulty mode at seed 0: 59 series. Its
+      flows cross ToR uplinks, so flow counts reach the polarization
+      detector;
+    * one seeded ``SolverEquivalence.random_case`` (an HPN case with a
+      link flap, 88 flows), sampled at every solve: 101 series. The
+      two runs above never put three flows of distinct non-zero rates
+      on one link, and IEEE addition of two terms commutes, so only
+      this run sees the order in which a link's load is summed.
+
+    The digests were recorded from the engine that rebuilt every link
+    load from all active flows after each solve, so a mismatch is a
+    change in what the simulator or the health samplers record, never
+    noise. The failure names the series that moved.
+    """
+
+    def _check(self, name, snapshot):
+        want = json.loads(HEALTH_GOLDEN.read_text())[name]
+        got = _series_digests(snapshot)
+        moved = sorted(k for k in want.keys() & got.keys()
+                       if want[k] != got[k])
+        missing = sorted(want.keys() - got.keys())
+        new = sorted(got.keys() - want.keys())
+        assert not (moved or missing or new), (
+            f"{len(moved)} series moved: {moved[:8]}; "
+            f"missing: {missing[:8]}; new: {new[:8]}")
+
+    def test_reference_workload(self):
+        case = json.loads(SOLVER_GOLDEN.read_text())["reference"]
+        topo, flows, events = build_reference_workload(
+            case["params"], case["seed"])
+        rec = Recorder()
+        engine = HealthEngine(rec).configure(
+            hotspot_min_s=0.004, polarization_min_s=0.004).attach()
+        sim = FluidSimulator(topo, recorder=rec)
+        sim.add_flows(flows)
+        for t, lid, up in events:
+            sim.schedule(
+                t, lambda s, l=lid, u=up: s.topo.set_link_state(l, u))
+        sim.run()
+        report = engine.finalize()
+        stats = sim._solver.stats
+        assert stats.solves + stats.noop_solves == 1034
+        assert len(report.incidents) == 132
+        self._check("reference", rec.metrics.snapshot())
+
+    def test_health_scenario_faulty(self):
+        with recording() as rec:
+            HealthEngine(rec).attach()
+            payload = run_health_scenario({"mode": "faulty"}, seed=0)
+        assert len(payload["incidents"]) == 6
+        self._check("scenario", rec.metrics.snapshot())
+
+    def test_random_campaign_case(self):
+        topo, flows, events = SolverEquivalence.random_case(
+            random.Random(3), max_flows=120)
+        assert len(flows) == 88 and events
+        rec = Recorder()
+        engine = HealthEngine(rec).configure(
+            sample_every=1, hotspot_min_s=0.001,
+            polarization_min_s=0.001).attach()
+        sim = FluidSimulator(topo, recorder=rec)
+        sim.add_flows(flows)
+        for t, lid, up in events:
+            sim.schedule(
+                t, lambda s, l=lid, u=up: s.topo.set_link_state(l, u))
+        sim.run()
+        assert len(engine.finalize().incidents) == 87
+        self._check("campaign", rec.metrics.snapshot())

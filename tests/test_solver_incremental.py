@@ -5,7 +5,9 @@ Covers the pieces the rewrite added -- the persistent
 :class:`~repro.fabric.IncrementalMaxMinSolver` dirty-set state machine
 (noop / incremental / full modes, one fill per dirty component), the
 waterfill kernel, the simulator's completion-heap event loop and
-batched arrivals -- plus regression tests for the satellite fixes
+batched arrivals, the state-log cursor that reports link changes to
+the solver, and the link loads the simulator maintains from each
+solve's dirty links -- plus regression tests for the satellite fixes
 (``until`` with stalled flows, the ``flow.start`` emit-once guard, the
 oracle's dead-link pass).
 """
@@ -21,6 +23,7 @@ from repro.fabric import (
     FluidSimulator,
     IncidenceIndex,
     IncrementalMaxMinSolver,
+    SolverEquivalence,
     build_snapshot,
     max_min_rates,
     run_flows,
@@ -80,20 +83,28 @@ class TestIncidenceIndex:
             idx.add(f, _cap_of(hpn_small))
 
     def test_capacities_registered_and_refreshed(self, hpn_mutable):
+        """Capacities are read on registration; ``refresh_capacities``
+        re-reads exactly the links it is given, no others."""
         router = Router(hpn_mutable)
         idx = IncidenceIndex()
         cap = _cap_of(hpn_mutable)
         f = _edge_flow(hpn_mutable, router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         idx.add(f, cap)
-        assert idx.refresh_capacities(cap) == []  # nothing changed
-        victim = f.path.dirlinks[0]
-        hpn_mutable.set_link_state(victim // 2, False)
-        changed = idx.refresh_capacities(cap)
-        assert idx.dense_of[victim] in changed
-        assert idx.cap[idx.dense_of[victim]] == 0.0
-        hpn_mutable.set_link_state(victim // 2, True)
-        assert idx.dense_of[victim] in idx.refresh_capacities(cap)
+        first, second = f.path.dirlinks[0], f.path.dirlinks[1]
+        assert first // 2 != second // 2
+        d1, d2 = idx.dense_of[first], idx.dense_of[second]
+        assert idx.cap[d1] == idx.cap[d2] == 200.0
+        hpn_mutable.set_link_state(first // 2, False)
+        hpn_mutable.set_link_state(second // 2, False)
+        idx.refresh_capacities(cap, [d1])
+        assert idx.cap[d1] == 0.0
+        assert idx.cap[d2] == 200.0  # not given, so not re-read
+        idx.refresh_capacities(cap, iter([d2]))
+        assert idx.cap[d2] == 0.0
+        hpn_mutable.set_link_state(first // 2, True)
+        idx.refresh_capacities(cap, [d1, d2])
+        assert (idx.cap[d1], idx.cap[d2]) == (200.0, 0.0)
 
     def test_component_closure(self, hpn_small, hpn_router):
         idx = IncidenceIndex()
@@ -247,22 +258,78 @@ class TestIncrementalSolver:
         assert solver.rates[flows[1].flow_id] == pytest.approx(200.0)
         assert flows[0].flow_id not in solver.rates
 
-    def test_capacity_sweep_catches_out_of_band_failure(self, hpn_mutable):
-        """No mark_link_dirty call needed: the refresh sweep sees it."""
+    def test_mark_link_dirty_resolves_changed_capacity(self, hpn_mutable):
+        """A standalone solver sees a capacity change once it is told
+        through ``mark_link_dirty``, and not before: nothing sweeps
+        the indexed links."""
         router = Router(hpn_mutable)
         f = _edge_flow(hpn_mutable, router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
+        hop = f.path.dirlinks[0]
         solver = IncrementalMaxMinSolver(_cap_of(hpn_mutable))
         solver.activate(f)
         solver.solve()
         assert solver.rates[f.flow_id] == pytest.approx(200.0)
-        hpn_mutable.set_link_state(f.path.dirlinks[0] // 2, False)
+        hpn_mutable.set_link_state(hop // 2, False)
+        assert solver.solve().mode == "noop"  # not reported yet
+        assert solver.rates[f.flow_id] == pytest.approx(200.0)
+        solver.mark_link_dirty(hop)
         outcome = solver.solve()
-        assert outcome.mode != "noop"
+        assert outcome.touched == frozenset({f.flow_id})
         assert solver.rates[f.flow_id] == 0.0
-        hpn_mutable.set_link_state(f.path.dirlinks[0] // 2, True)
+        hpn_mutable.set_link_state(hop // 2, True)
+        solver.mark_link_dirty(hop)
         solver.solve()
         assert solver.rates[f.flow_id] == pytest.approx(200.0)
+
+    def test_link_indexed_mid_flap_is_reread(self, hpn_mutable):
+        """A link first indexed while down and repaired before the next
+        solve shows no net state change, yet the solve re-reads its
+        capacity (every link indexed since the last solve is)."""
+        router = Router(hpn_mutable)
+        f = _edge_flow(hpn_mutable, router,
+                       "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
+        hop = f.path.dirlinks[0]
+        solver = IncrementalMaxMinSolver(_cap_of(hpn_mutable))
+        hpn_mutable.set_link_state(hop // 2, False)
+        solver.activate(f)
+        assert solver.index.cap[solver.index.dense_of[hop]] == 0.0
+        hpn_mutable.set_link_state(hop // 2, True)
+        solver.solve()
+        assert solver.rates[f.flow_id] == pytest.approx(200.0)
+
+    def test_on_filled_names_the_links_it_moved(self, hpn_small, hpn_router):
+        """``on_filled`` receives the filled components (flows and
+        links) and the dirty links the solve consumed."""
+        a = hpn_small.hosts["pod0/seg0/host0"].nic_for_rail(0)
+        flows = []
+        for i, dst in enumerate(["pod0/seg0/host1", "pod0/seg0/host2"]):
+            b = hpn_small.hosts[dst].nic_for_rail(0)
+            ft = FiveTuple(a.ip, b.ip, 50000 + i, 4791)
+            flows.append(Flow(ft, GB, hpn_router.path_for(a, b, ft, plane=0)))
+        solver = IncrementalMaxMinSolver(_cap_of(hpn_small))
+        calls = []
+        solver.on_filled = lambda comps, dirty: calls.append(
+            (comps, set(dirty), dict(solver.rates)))
+        for f in flows:
+            solver.activate(f)
+        solver.solve()
+        index = solver.index
+        [([(comp_flows, comp_links)], dirty, rates)] = calls
+        assert comp_flows == {f.flow_id for f in flows}
+        assert comp_links == {index.dense_of[dl]
+                              for f in flows for dl in f.path.dirlinks}
+        assert dirty == set()
+        assert rates == solver.rates  # fired after the rates settled
+        solver.finish(flows[0])
+        solver.solve()
+        [(comp_flows, comp_links)], dirty, _rates = calls[1]
+        assert dirty == {index.dense_of[dl] for dl in flows[0].path.dirlinks}
+        assert comp_flows == {flows[1].flow_id}
+        # the finished flow's private links are in no component
+        vacated = dirty - comp_links
+        assert vacated and all(not index.link_flows[d] for d in vacated)
+        assert solver.solve().mode == "noop" and len(calls) == 2
 
 
 # ======================================================================
@@ -322,6 +389,81 @@ class TestIncrementalEngineLoop:
         result = sim.run()
         assert result.finish_time == pytest.approx(0.05)
 
+    def test_link_state_between_runs(self, hpn_mutable):
+        """A failure made between two ``run()`` calls reaches the next
+        solve through the simulator's state-log cursor."""
+        router = Router(hpn_mutable)
+        f = _edge_flow(hpn_mutable, router,
+                       "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
+        link_id = f.path.dirlinks[0] // 2
+        sim = FluidSimulator(hpn_mutable, solver="incremental")
+        sim.add_flows([f])
+        sim.run(until=0.01)
+        hpn_mutable.set_link_state(link_id, False)
+        sim.run(until=0.02)
+        [live] = sim.active_flows
+        assert live.rate_gbps == 0.0
+        assert live.remaining_bytes == pytest.approx(0.75 * GB, rel=1e-9)
+        hpn_mutable.set_link_state(link_id, True)
+        result = sim.run()
+        assert result.finish_time == pytest.approx(0.05)
+
+    def test_fail_and_recover_node_mid_run(self, hpn_mutable):
+        """``fail_node``/``recover_node`` log one transition per link;
+        every link of the switch reaches the solver."""
+        router = Router(hpn_mutable)
+        f = _edge_flow(hpn_mutable, router,
+                       "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
+        tor = f.path.nodes[1]
+        assert tor in hpn_mutable.switches
+        finish = {}
+        for mode in ("full", "incremental"):
+            f.reset()
+            sim = FluidSimulator(hpn_mutable, solver=mode)
+            sim.add_flows([f])
+            sim.schedule(0.01, lambda s: s.topo.fail_node(tor))
+            sim.schedule(0.02, lambda s: s.topo.recover_node(tor))
+            finish[mode] = sim.run().finish_time
+        assert finish["incremental"] == pytest.approx(0.05)
+        assert finish["incremental"] == pytest.approx(finish["full"],
+                                                      rel=1e-12)
+
+    def test_transient_probe_in_event_resolves_nothing(self, hpn_mutable):
+        """A what-if failure restored inside one event nets to no link
+        change: the next solve is a noop, the flow runs undisturbed."""
+        router = Router(hpn_mutable)
+        f = _edge_flow(hpn_mutable, router,
+                       "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
+        link_id = f.path.dirlinks[0] // 2
+
+        def probe(s):
+            with s.topo.transient_state():
+                s.topo.set_link_state(link_id, False)
+
+        sim = FluidSimulator(hpn_mutable, solver="incremental")
+        sim.add_flows([f])
+        sim.schedule(0.01, probe)
+        result = sim.run()
+        assert len(hpn_mutable.link_state_changes(0)) == 2
+        stats = sim._solver.stats
+        assert (stats.full_solves, stats.incremental_solves,
+                stats.noop_solves) == (1, 0, 1)
+        assert result.finish_time == pytest.approx(0.04)
+
+    def test_flap_around_activation_in_one_frontier(self, hpn_mutable):
+        """Down, activate, up at one instant: the link is indexed while
+        down, no net change is logged, and the flow still runs at the
+        repaired capacity."""
+        router = Router(hpn_mutable)
+        f = _edge_flow(hpn_mutable, router,
+                       "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
+        link_id = f.path.dirlinks[0] // 2
+        sim = FluidSimulator(hpn_mutable, solver="incremental")
+        sim.schedule(0.0, lambda s: s.topo.set_link_state(link_id, False))
+        sim.add_flows([f])
+        sim.schedule(0.0, lambda s: s.topo.set_link_state(link_id, True))
+        assert sim.run().finish_time == pytest.approx(0.04)
+
     def test_deadlock_detection(self, hpn_mutable):
         from repro.core.errors import SimulationError
 
@@ -380,6 +522,72 @@ class TestIncrementalEngineLoop:
         sim.run()
         iters = rec.metrics.counter("sim.kernel_iters").value
         assert iters == sim._solver.stats.kernel_iters > 0
+
+
+# ======================================================================
+def _check_view_against_walk(sim):
+    """The maintained link view == the from-scratch walk, bit for bit
+    (``float.hex``)."""
+    view = sim._view
+    index = sim._solver.index
+    loads, counts, utils, peaks = sim._walk_link_util()
+    got_loads, got_counts = {}, {}
+    for dense, raw in enumerate(index.dirlinks):
+        n = len(index.link_flows[dense])
+        if n:
+            got_loads[raw] = view.load[dense].hex()
+            got_counts[raw] = n
+        else:
+            assert view.load[dense] == 0.0 and raw not in view.live_util
+    assert got_loads == {dl: load.hex() for dl, load in loads.items()}
+    assert got_counts == counts
+    assert ({tier: p.hex() for tier, p in view.peak.items() if p > 0.0}
+            == {tier: p.hex() for tier, p in peaks.items()})
+    assert ({dl: u.hex() for dl, u in view.live_util.items()}
+            == {dl: u.hex() for dl, u in utils.items()})
+    assert view.live_count == {dl: counts[dl] for dl in utils}
+
+
+class TestMaintainedLinkView:
+    """With a recorder attached, the incremental engine keeps per-link
+    load, flow count and per-tier peak current from each solve's dirty
+    links; after every solve they equal the from-scratch walk the full
+    engine records from."""
+
+    def test_matches_from_scratch_walk_after_every_solve(self):
+        rng = random.Random(2024)
+        solves = flaps = 0
+        for case in range(16):
+            topo, flows, events = SolverEquivalence.random_case(
+                rng, tag=f"view{case}")
+            if len(flows) < 2:
+                continue
+            sim = FluidSimulator(topo, recorder=Recorder())
+            checked = []
+            sim.on_solve = lambda s, _rates: checked.append(
+                _check_view_against_walk(s))
+            sim.add_flows(flows)
+            for t, lid, up in events:
+                sim.schedule(
+                    t, lambda s, l=lid, u=up: s.topo.set_link_state(l, u))
+            sim.run()
+            assert len(checked) > 1
+            solves += len(checked)
+            flaps += bool(events)
+        assert solves > 200 and flaps >= 5
+
+    def test_full_mode_keeps_the_walk(self, hpn_small, hpn_router):
+        """The full engine keeps no maintained view; it records from
+        the walk."""
+        f = _edge_flow(hpn_small, hpn_router,
+                       "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
+        rec = Recorder()
+        sim = FluidSimulator(hpn_small, recorder=rec, solver="full")
+        assert sim._view is None
+        sim.add_flows([f])
+        sim.run()
+        samples = rec.metrics.gauge("link_util", tier="access").samples
+        assert [v for _t, v in samples] == [1.0]
 
 
 # ======================================================================

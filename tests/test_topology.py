@@ -155,3 +155,40 @@ def test_to_networkx_roundtrip(hpn_small):
     g = hpn_small.to_networkx()
     assert g.number_of_nodes() == len(hpn_small.hosts) + len(hpn_small.switches)
     assert g.number_of_edges() == len(hpn_small.links)
+
+
+def _tier_by_role(topo, link):
+    """The label a link's end roles imply (independent of tier numbers)."""
+    if link.a.node in topo.hosts or link.b.node in topo.hosts:
+        return "access"
+    roles = {topo.switches[link.a.node].role, topo.switches[link.b.node].role}
+    if SwitchRole.CORE in roles:
+        return "core"
+    assert roles == {SwitchRole.TOR, SwitchRole.AGG}, roles
+    return "agg"
+
+
+@pytest.mark.parametrize("shape", ["hpn", "dcnplus"])
+def test_link_tier_labels(shape, dcn_small):
+    from repro.topos import HpnSpec, build_hpn
+
+    if shape == "hpn":
+        fabric = build_hpn(HpnSpec(
+            pods=2, segments_per_pod=1, hosts_per_segment=2,
+            backup_hosts_per_segment=0, gpus_per_host=1, aggs_per_plane=2,
+            agg_core_uplinks=2, cores_per_plane=2,
+        ))
+    else:
+        fabric = dcn_small
+    labels = {}
+    for lid, link in fabric.links.items():
+        label = fabric.link_tier(lid)
+        assert label == _tier_by_role(fabric, link), (lid, link)
+        labels[label] = labels.get(label, 0) + 1
+    assert set(labels) == {"access", "agg", "core"}
+
+
+def test_link_tier_names_other_tiers(topo):
+    a = topo.alloc_port("tor0", 400.0, PortKind.UP)
+    b = topo.alloc_port("tor1", 400.0, PortKind.DOWN)
+    assert topo.link_tier(topo.wire(a.ref, b.ref).link_id) == "tier1"
