@@ -770,7 +770,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8123,
                    help="TCP port (0 picks a free one)")
     p.add_argument("--max-batch", type=int, default=64,
-                   help="flush a micro-batch at this many distinct queries")
+                   help="flush a micro-batch at this many queries")
     p.add_argument("--batch-window-ms", type=float, default=2.0,
                    help="flush a micro-batch this long after its first query")
     p.set_defaults(func=cmd_serve)

@@ -14,6 +14,7 @@ Chrome-trace exporter turns into counter tracks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .ring import RingBuffer
@@ -131,15 +132,21 @@ class Histogram(Metric):
         self.max_value = -math.inf
 
     def observe(self, value: float) -> None:
+        """Count ``value`` into the first bucket whose bound is >= it.
+
+        A value above every bound, or NaN (which compares false with
+        every bound), lands in the overflow bucket.
+        """
         self.count += 1
         self.total += value
-        self.min_value = min(self.min_value, value)
-        self.max_value = max(self.max_value, value)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        if value < self.min_value:
+            self.min_value = value
+        if value > self.max_value:
+            self.max_value = value
+        if value != value:  # NaN: bisect_left would put it in bucket 0
+            self.bucket_counts[-1] += 1
+        else:
+            self.bucket_counts[bisect_left(self.buckets, value)] += 1
 
     @property
     def mean(self) -> float:

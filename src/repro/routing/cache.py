@@ -10,7 +10,7 @@ byte-identical, including :class:`RoutingError` outcomes.
 
 Invalidation mirrors BGP /32 withdrawal scope. ``Topology.state_epoch``
 counts link up/down transitions; the cache keeps a reverse
-dirlink -> cached-routes index and, on sync, drops exactly the entries
+link -> cached-routes index and, on sync, drops exactly the entries
 whose *dependency set* includes a flapped link. A route's dependency
 set is every structural link examined while walking it -- the links it
 crosses, the other members of every ECMP candidate group it hashed
@@ -69,19 +69,18 @@ class RouteStats:
 
 
 class RouteCache:
-    """Generic memo with a reverse dirlink -> entries invalidation index.
+    """Generic memo with a reverse link -> entries invalidation index.
 
     Values are opaque; each entry carries the set of link ids it
     depends on. ``invalidate_links`` drops every entry depending on any
     of the given links and returns how many were dropped. The reverse
-    index is keyed by *dirlink* (both directions of each dependency
-    link), mirroring how the simulator accounts full-duplex cables,
-    while ``Link.up`` flips both directions at once.
+    index is keyed by link id: ``Link.up`` flips both directions of a
+    full-duplex cable at once, so a link is the unit of invalidation.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[object, Tuple[object, Tuple[int, ...]]] = {}
-        self._by_dirlink: Dict[int, Set[object]] = {}
+        self._by_link: Dict[int, Set[object]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -98,13 +97,12 @@ class RouteCache:
         dep_ids = tuple(deps)
         self._entries[key] = (value, dep_ids)
         for link_id in dep_ids:
-            self._by_dirlink.setdefault(link_id * 2, set()).add(key)
-            self._by_dirlink.setdefault(link_id * 2 + 1, set()).add(key)
+            self._by_link.setdefault(link_id, set()).add(key)
 
     def invalidate_links(self, link_ids: Iterable[int]) -> int:
         dropped = 0
         for link_id in link_ids:
-            keys = self._by_dirlink.get(link_id * 2)
+            keys = self._by_link.get(link_id)
             if not keys:
                 continue
             for key in list(keys):
@@ -114,17 +112,16 @@ class RouteCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._by_dirlink.clear()
+        self._by_link.clear()
 
     def _drop(self, key: object) -> None:
         _value, dep_ids = self._entries.pop(key)
         for link_id in dep_ids:
-            for dirlink in (link_id * 2, link_id * 2 + 1):
-                keys = self._by_dirlink.get(dirlink)
-                if keys is not None:
-                    keys.discard(key)
-                    if not keys:
-                        del self._by_dirlink[dirlink]
+            keys = self._by_link.get(link_id)
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._by_link[link_id]
 
 
 class CachedRouter(Router):

@@ -13,9 +13,11 @@ batched what-if queries over a small HTTP API (see
   against a dedicated probe router so the live caches stay warm.
 
 The performance core is :class:`~repro.serve.batching.MicroBatcher`:
-concurrent requests accumulate into size/deadline-bounded
-micro-batches, deduplicate by request key, and dispatch through
-``route_many`` -- byte-identical to serial one-at-a-time evaluation.
+concurrent requests, each submitted whole with one future, accumulate
+into size/deadline-bounded micro-batches that
+:meth:`~repro.serve.state.ServeState.execute_batch` dedupes and
+dispatches through ``route_many`` -- byte-identical to serial
+one-at-a-time evaluation.
 """
 
 from .batching import BatchStats, MicroBatcher

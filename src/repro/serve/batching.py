@@ -1,11 +1,14 @@
-"""Async micro-batching: accumulate, dedupe, dispatch, fan out.
+"""Async micro-batching of requests: accumulate, dispatch, hand back.
 
-Concurrent requests land in a pending window; the window flushes when
-it reaches ``max_batch`` distinct queries or when ``max_delay_s``
-elapses after the first arrival, whichever comes first. Identical
-queries (same :class:`~repro.serve.query.Query`, which is its own
-canonical key) share one future -- the batch engine sees each distinct
-query once and every duplicate waiter gets the same result object.
+The unit of work is a *request*: the tuple of queries one HTTP call
+carries (a 1-tuple for ``/v1/query``). Concurrent requests land in a
+pending window with one future each; the window flushes when its
+pending queries, duplicates included, reach ``max_batch``, or when
+``max_delay_s`` elapses after the first arrival, whichever comes
+first. A request is never split, so one of ``max_batch`` or more
+queries flushes on arrival. The executor sees every pending query in
+arrival order -- ``ServeState.execute_batch`` dedupes and fans out --
+and each request gets back its own slice of the results.
 
 The flush runs the batch synchronously on the event loop. That is
 deliberate: the daemon is single-loop, so a batch -- including its
@@ -17,19 +20,24 @@ relies on.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .query import Query
 
-#: default flush bounds: 64 distinct queries or 2 ms after first arrival
+#: default flush bounds: 64 queries or 2 ms after first arrival
 DEFAULT_MAX_BATCH = 64
 DEFAULT_MAX_DELAY_S = 0.002
 
 
 @dataclass
 class BatchStats:
-    """Counters the daemon exports via ``/stats`` and ``serve.*``."""
+    """Counters the daemon exports via ``/stats`` and ``serve.*``.
+
+    ``requests`` counts queries; ``deduped`` the duplicate queries
+    within flushed batches; ``batched_queries`` and ``max_batch_seen``
+    the distinct queries per batch.
+    """
 
     requests: int = 0
     deduped: int = 0
@@ -57,9 +65,10 @@ class BatchStats:
 class MicroBatcher:
     """Deadline/size-bounded request coalescing over a batch executor.
 
-    ``execute_batch`` is called with the distinct pending queries (in
-    arrival order) and must return one result per query; results are
-    fanned out to every waiter, duplicates included.
+    ``execute_batch`` is called with every pending query (requests
+    concatenated in arrival order) and must return one result per
+    query; each request's future resolves to its own results, in
+    order.
     """
 
     def __init__(
@@ -75,8 +84,8 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self.stats = BatchStats()
-        self._pending: List[Query] = []
-        self._futures: Dict[Query, "asyncio.Future[Any]"] = {}
+        self._pending: List[Tuple[Tuple[Query, ...], "asyncio.Future[List[Any]]"]] = []
+        self._pending_queries = 0
         self._timer: Optional[asyncio.TimerHandle] = None
         if recorder is not None:
             m = recorder.metrics
@@ -89,21 +98,22 @@ class MicroBatcher:
             self._h_batch = self._c_deduped = None
 
     # ------------------------------------------------------------------
-    async def submit(self, query: Query) -> Any:
-        """Enqueue one query; resolves when its batch executes."""
-        self.stats.requests += 1
-        fut = self._futures.get(query)
-        if fut is not None:
-            # intra-window duplicate: ride the existing future
-            self.stats.deduped += 1
-            if self._c_deduped is not None:
-                self._c_deduped.inc()
-            return await fut
+    async def submit(self, queries: Tuple[Query, ...]) -> List[Any]:
+        """Enqueue one request; resolves to its results when its batch runs."""
+        # a Query is itself a tuple: refuse it rather than batch its fields
+        if not isinstance(queries, tuple) or isinstance(queries, Query):
+            raise TypeError(
+                "submit() takes a tuple of queries, not "
+                f"{type(queries).__name__}"
+            )
+        if not queries:
+            return []
+        self.stats.requests += len(queries)
         loop = asyncio.get_running_loop()
         fut = loop.create_future()
-        self._futures[query] = fut
-        self._pending.append(query)
-        if len(self._pending) >= self.max_batch:
+        self._pending.append((queries, fut))
+        self._pending_queries += len(queries)
+        if self._pending_queries >= self.max_batch:
             self._flush("full")
         elif self._timer is None:
             self._timer = loop.call_later(
@@ -121,31 +131,39 @@ class MicroBatcher:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        batch = self._pending
-        futures = self._futures
+        pending = self._pending
         self._pending = []
-        self._futures = {}
-        if not batch:
+        self._pending_queries = 0
+        if not pending:
             return
-        self.stats.batches += 1
-        self.stats.batched_queries += len(batch)
-        self.stats.max_batch_seen = max(self.stats.max_batch_seen, len(batch))
+        batch = [q for queries, _ in pending for q in queries]
+        distinct = len(set(batch))
+        duplicates = len(batch) - distinct
+        stats = self.stats
+        stats.batches += 1
+        stats.batched_queries += distinct
+        stats.max_batch_seen = max(stats.max_batch_seen, distinct)
+        stats.deduped += duplicates
         if why == "full":
-            self.stats.flushed_full += 1
+            stats.flushed_full += 1
         elif why == "deadline":
-            self.stats.flushed_deadline += 1
+            stats.flushed_deadline += 1
         else:
-            self.stats.flushed_drain += 1
+            stats.flushed_drain += 1
         if self._h_batch is not None:
-            self._h_batch.observe(len(batch))
+            self._h_batch.observe(distinct)
+        if self._c_deduped is not None and duplicates:
+            self._c_deduped.inc(duplicates)
         try:
             results = self._execute_batch(batch)
         except Exception as err:  # defensive: executor should not raise
-            for fut in futures.values():
+            for _, fut in pending:
                 if not fut.done():
                     fut.set_exception(err)
             return
-        for query, result in zip(batch, results):
-            fut = futures[query]
+        start = 0
+        for queries, fut in pending:
+            end = start + len(queries)
             if not fut.done():
-                fut.set_result(result)
+                fut.set_result(results[start:end])
+            start = end

@@ -1,16 +1,16 @@
 """The serve request model: immutable, canonical, dedupe-keyed queries.
 
-A :class:`Query` is a frozen dataclass so it is hashable -- the query
-*is* its own dedupe key. :meth:`Query.from_jsonable` canonicalises the
-wire form (sorted, duplicate-free failure sets; defaulted fields) so
-two requests that mean the same thing coalesce into one evaluation in
-the micro-batcher and in ``ServeState.execute_batch``.
+A :class:`Query` is a tuple -- a :class:`~typing.NamedTuple` whose
+constructor validates and canonicalises -- so it is hashable and cheap
+to build, and the query *is* its own dedupe key. Construction sorts
+and dedupes the failure sets; :meth:`Query.from_jsonable` checks the
+wire form and fills defaults, so two requests that mean the same thing
+coalesce into one evaluation in ``ServeState.execute_batch``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 #: the query kinds the daemon answers
 KINDS = ("path", "planes", "repac", "residual")
@@ -26,56 +26,66 @@ class QueryError(ValueError):
     """A malformed or unanswerable query (bad kind, unknown host...)."""
 
 
-@dataclass(frozen=True)
-class Query:
+class _QueryFields(NamedTuple):
+    """The field layout of :class:`Query`; build a ``Query``, not this."""
+
+    kind: str
+    src_host: str
+    dst_host: str
+    src_rail: int
+    dst_rail: int
+    sport: int
+    dport: int
+    plane: Optional[int]
+    num_paths: int
+    sport_span: int
+    fail_links: Tuple[int, ...]
+    fail_switches: Tuple[str, ...]
+
+
+class Query(_QueryFields):
     """One what-if question, canonical and hashable.
 
     ``fail_links`` / ``fail_switches`` make any kind a what-if: the
     query is evaluated under ``Topology.transient_state()`` with those
     failures applied, against the probe router (never the live one).
+    Its hash is the hash of its 12 fields.
     """
 
-    kind: str
-    src_host: str
-    dst_host: str
-    src_rail: int = 0
-    dst_rail: int = 0
-    sport: int = DEFAULT_SPORT
-    dport: int = DEFAULT_DPORT
-    plane: Optional[int] = None
-    num_paths: int = DEFAULT_NUM_PATHS
-    sport_span: int = DEFAULT_SPORT_SPAN
-    fail_links: Tuple[int, ...] = ()
-    fail_switches: Tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+    def __new__(
+        cls,
+        kind: str,
+        src_host: str,
+        dst_host: str,
+        src_rail: int = 0,
+        dst_rail: int = 0,
+        sport: int = DEFAULT_SPORT,
+        dport: int = DEFAULT_DPORT,
+        plane: Optional[int] = None,
+        num_paths: int = DEFAULT_NUM_PATHS,
+        sport_span: int = DEFAULT_SPORT_SPAN,
+        fail_links: Tuple[int, ...] = (),
+        fail_switches: Tuple[str, ...] = (),
+    ) -> "Query":
+        if kind not in KINDS:
             raise QueryError(
-                f"unknown query kind {self.kind!r}; expected one of {KINDS}"
+                f"unknown query kind {kind!r}; expected one of {KINDS}"
             )
-        if self.num_paths < 1:
+        if num_paths < 1:
             raise QueryError("num_paths must be >= 1")
-        if self.sport_span < 1:
+        if sport_span < 1:
             raise QueryError("sport_span must be >= 1")
         # canonicalise failure sets so equal what-ifs hash equal
-        object.__setattr__(
-            self, "fail_links", tuple(sorted(set(self.fail_links)))
-        )
-        object.__setattr__(
-            self, "fail_switches", tuple(sorted(set(self.fail_switches)))
-        )
-        # queries are dict keys on every hot path (dedupe, fan-out);
-        # precompute the hash once instead of re-hashing 12 fields per
-        # lookup
-        object.__setattr__(self, "_hash", hash((
-            self.kind, self.src_host, self.dst_host,
-            self.src_rail, self.dst_rail, self.sport, self.dport,
-            self.plane, self.num_paths, self.sport_span,
-            self.fail_links, self.fail_switches,
-        )))
-
-    def __hash__(self) -> int:  # noqa: overrides the dataclass hash
-        return self._hash  # type: ignore[attr-defined]
+        if fail_links != ():
+            fail_links = tuple(sorted(set(fail_links)))
+        if fail_switches != ():
+            fail_switches = tuple(sorted(set(fail_switches)))
+        return tuple.__new__(cls, (
+            kind, src_host, dst_host, src_rail, dst_rail, sport, dport,
+            plane, num_paths, sport_span, fail_links, fail_switches,
+        ))
 
     @property
     def is_what_if(self) -> bool:
@@ -87,7 +97,7 @@ class Query:
         return (self.fail_links, self.fail_switches)
 
     def key(self) -> "Query":
-        """The dedupe key -- the query itself (frozen, hashable)."""
+        """The dedupe key -- the query itself (immutable, hashable)."""
         return self
 
     # ------------------------------------------------------------------
@@ -110,39 +120,72 @@ class Query:
 
     @classmethod
     def from_jsonable(cls, obj: Any) -> "Query":
+        """Decode one wire query; every malformed input is a QueryError."""
         if not isinstance(obj, dict):
             raise QueryError(f"query must be an object, got {type(obj).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(obj) - known)
-        if unknown:
+        if not _FIELD_NAMES.issuperset(obj):
+            unknown = sorted(set(obj) - _FIELD_NAMES)
             raise QueryError(f"unknown query fields: {', '.join(unknown)}")
-        for req in ("kind", "src_host", "dst_host"):
+        for req in _REQUIRED:
             if req not in obj:
                 raise QueryError(f"query is missing required field {req!r}")
-        kw = dict(obj)
+        get = obj.get
         try:
-            kw["fail_links"] = tuple(int(x) for x in kw.get("fail_links", ()))
-        except (TypeError, ValueError):
+            fail_links = tuple([
+                x if type(x) is int else int(x)
+                for x in get("fail_links", ())
+            ])
+        except (TypeError, ValueError, OverflowError):
             raise QueryError("fail_links must be a list of link ids")
-        raw_sw = kw.get("fail_switches", ())
-        if isinstance(raw_sw, str) or not all(
-            isinstance(s, str) for s in raw_sw
+        raw_sw = get("fail_switches", ())
+        try:
+            fail_switches: Optional[Tuple[str, ...]] = tuple(raw_sw)
+        except TypeError:  # a number, a bool or null
+            fail_switches = None
+        if fail_switches is None or isinstance(raw_sw, str) or not all(
+            isinstance(s, str) for s in fail_switches
         ):
             raise QueryError("fail_switches must be a list of switch names")
-        kw["fail_switches"] = tuple(raw_sw)
-        for name in ("src_rail", "dst_rail", "sport", "dport",
-                     "num_paths", "sport_span"):
-            if name in kw:
+        ints: List[int] = []
+        for name, default in _INT_FIELDS:
+            value = get(name, default)
+            if type(value) is not int:
                 try:
-                    kw[name] = int(kw[name])
-                except (TypeError, ValueError):
+                    value = int(value)
+                except (TypeError, ValueError, OverflowError):
                     raise QueryError(f"{name} must be an integer")
-        if kw.get("plane") is not None:
+            ints.append(value)
+        plane = get("plane")
+        if plane is not None and type(plane) is not int:
             try:
-                kw["plane"] = int(kw["plane"])
-            except (TypeError, ValueError):
+                plane = int(plane)
+            except (TypeError, ValueError, OverflowError):
                 raise QueryError("plane must be an integer or null")
-        try:
-            return cls(**kw)
-        except TypeError as err:
-            raise QueryError(str(err))
+        src_rail, dst_rail, sport, dport, num_paths, sport_span = ints
+        src_host = obj["src_host"]
+        dst_host = obj["dst_host"]
+        query = cls(obj["kind"], src_host, dst_host, src_rail, dst_rail,
+                    sport, dport, plane, num_paths, sport_span,
+                    fail_links, fail_switches)
+        if type(src_host) is not str or type(dst_host) is not str:
+            # a host named by a list or an object would break every
+            # dict the query is later a key of
+            try:
+                hash(query)
+            except TypeError as err:
+                raise QueryError(str(err))
+        return query
+
+
+#: wire field names, and the ones a query cannot omit
+_FIELD_NAMES = frozenset(Query._fields)
+_REQUIRED = ("kind", "src_host", "dst_host")
+#: integer wire fields in constructor order, with their defaults
+_INT_FIELDS = (
+    ("src_rail", 0),
+    ("dst_rail", 0),
+    ("sport", DEFAULT_SPORT),
+    ("dport", DEFAULT_DPORT),
+    ("num_paths", DEFAULT_NUM_PATHS),
+    ("sport_span", DEFAULT_SPORT_SPAN),
+)

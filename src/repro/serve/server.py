@@ -7,8 +7,8 @@ One event loop, one :class:`~repro.serve.batching.MicroBatcher`, one
 * ``GET /stats``          -- qps, batcher counters, cache stats;
 * ``GET /metrics``        -- Prometheus text format (obs exposition);
 * ``POST /v1/query``      -- one query object, one result;
-* ``POST /v1/batch``      -- ``{"queries": [...]}``; the queries are
-  submitted concurrently so they coalesce into micro-batches together;
+* ``POST /v1/batch``      -- ``{"queries": [...]}``; the request is
+  submitted whole, as one unit of work of the micro-batcher;
 * ``POST /admin/shutdown`` -- graceful stop (drains the batcher).
 
 The HTTP layer is deliberately minimal (keep-alive, Content-Length
@@ -21,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import Counter
 from typing import Any, Dict, Optional, Tuple
 
 from ..obs import Recorder
@@ -165,17 +166,15 @@ class ServeDaemon:
                 query = self._parse_query(body)
             except QueryError as err:
                 return _json(400, {"ok": False, "error": str(err)})
-            result = await self.batcher.submit(query)
-            return _json(200, result)
+            results = await self.batcher.submit((query,))
+            return _json(200, results[0])
         if route == ("POST", "/v1/batch"):
             try:
                 queries = self._parse_batch(body)
             except QueryError as err:
                 return _json(400, {"ok": False, "error": str(err)})
-            results = await asyncio.gather(
-                *(self.batcher.submit(q) for q in queries)
-            )
-            return _json(200, {"results": list(results)})
+            results = await self.batcher.submit(queries)
+            return _json(200, {"results": results})
         if route == ("POST", "/admin/shutdown"):
             self.request_stop()
             return _json(200, {"ok": True, "stopping": True})
@@ -187,7 +186,7 @@ class ServeDaemon:
     def _parse_query(self, body: bytes) -> Query:
         obj = _parse_json(body)
         query = Query.from_jsonable(obj)
-        self._count_kind(query.kind)
+        self._count_kind(query.kind, 1)
         return query
 
     def _parse_batch(self, body: bytes) -> Tuple[Query, ...]:
@@ -197,17 +196,17 @@ class ServeDaemon:
         raw = obj["queries"]
         if not isinstance(raw, list) or not raw:
             raise QueryError("queries must be a non-empty list")
-        queries = tuple(Query.from_jsonable(q) for q in raw)
-        for q in queries:
-            self._count_kind(q.kind)
+        queries = tuple([Query.from_jsonable(q) for q in raw])
+        for kind, n in Counter(q.kind for q in queries).items():
+            self._count_kind(kind, n)
         return queries
 
-    def _count_kind(self, kind: str) -> None:
+    def _count_kind(self, kind: str, n: int) -> None:
         c = self._c_requests.get(kind)
         if c is None:
             c = self.recorder.metrics.counter("serve.requests", kind=kind)
             self._c_requests[kind] = c
-        c.inc()
+        c.inc(n)
 
     def _count_http(self, endpoint: str) -> None:
         c = self._c_http.get(endpoint)

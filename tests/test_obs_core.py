@@ -156,6 +156,60 @@ class TestMetrics:
         assert h.min_value == 0.5
         assert h.max_value == 50.0
 
+    @pytest.mark.parametrize("bounds", [
+        (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0),
+        (1, 2, 4, 8, 16, 32, 64, 128, 256),
+        (-1.0, 0.0, 0.0, 3.0),
+        (5.0,),
+    ])
+    def test_histogram_observe_matches_linear_scan(self, bounds):
+        import math
+        import random
+
+        def linear(hist, value):
+            # the first bucket whose bound is >= value, else overflow
+            hist.count += 1
+            hist.total += value
+            hist.min_value = min(hist.min_value, value)
+            hist.max_value = max(hist.max_value, value)
+            for i, bound in enumerate(hist.buckets):
+                if value <= bound:
+                    hist.bucket_counts[i] += 1
+                    return
+            hist.bucket_counts[-1] += 1
+
+        rng = random.Random(4711)
+        top = max(bounds)
+        specials = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
+                    top * 2 + 1, top + 1e-9]
+        values = list(bounds) + specials
+        for _ in range(3000):
+            roll = rng.random()
+            if roll < 0.3:
+                values.append(rng.choice(bounds))  # exactly on a bound
+            elif roll < 0.4:
+                values.append(rng.choice(specials))
+            else:
+                values.append(rng.uniform(-2.0, top * 1.5 + 1.0))
+        rng.shuffle(values)
+        fast = MetricsRegistry().histogram("h", buckets=bounds)
+        slow = MetricsRegistry().histogram("h", buckets=bounds)
+        for value in values:
+            fast.observe(value)
+            linear(slow, value)
+        assert fast.bucket_counts == slow.bucket_counts
+        assert fast.bucket_counts[-1] > 0
+        assert fast.count == slow.count == len(values)
+        assert math.isnan(fast.total) and math.isnan(slow.total)
+        assert fast.min_value == slow.min_value == -float("inf")
+        assert fast.max_value == slow.max_value == float("inf")
+        # NaN observed first leaves min/max to the values that follow
+        first_nan = MetricsRegistry().histogram("n", buckets=bounds)
+        for value in (float("nan"), 0.5, 7.0):
+            first_nan.observe(value)
+        assert (first_nan.min_value, first_nan.max_value) == (0.5, 7.0)
+        assert first_nan.bucket_counts[-1] >= 1
+
     def test_snapshot_json_safe(self):
         reg = MetricsRegistry()
         reg.gauge("inf").set(float("inf"))

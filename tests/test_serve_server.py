@@ -123,9 +123,9 @@ class TestEndpoints:
         assert len(results) == 9
         # 3 distinct sports -> results repeat with period 3
         assert results == results[:3] * 3
-        # the 9 concurrent submits coalesced instead of 9 singletons
+        # the request is one unit of work: 9 queries, one batch
         grew = daemon.daemon.batcher.stats.batches - before
-        assert 1 <= grew <= 3
+        assert grew == 1
         assert daemon.daemon.batcher.stats.deduped >= 6
 
     def test_bad_queries_get_400(self, daemon, client):
@@ -138,6 +138,30 @@ class TestEndpoints:
         res = client.query({"kind": "path", "src_host": "ghost",
                             "dst_host": "ghost2"})
         assert res["ok"] is False and "unknown host" in res["error"]
+        # fields whose conversion raised something other than a
+        # QueryError once dropped the connection instead of a 400
+        a, b = hosts(daemon)[0], hosts(daemon)[-1]
+        good = {"kind": "path", "src_host": a, "dst_host": b}
+        inf = float("inf")  # json.dumps writes it as Infinity
+        malformed = [
+            ({"fail_switches": 5}, "fail_switches must be a list"),
+            ({"fail_switches": None}, "fail_switches must be a list"),
+            ({"fail_switches": True}, "fail_switches must be a list"),
+            ({"sport": inf}, "sport must be an integer"),
+            ({"src_rail": -inf}, "src_rail must be an integer"),
+            ({"num_paths": inf}, "num_paths must be an integer"),
+            ({"plane": -inf}, "plane must be an integer or null"),
+            ({"fail_links": [3, inf]}, "fail_links must be a list of link ids"),
+        ]
+        for fields, message in malformed:
+            bad = dict(good, **fields)
+            with pytest.raises(RuntimeError, match=f"400.*{message}"):
+                client.query(bad)
+            with pytest.raises(RuntimeError, match=f"400.*{message}"):
+                client.batch([good, bad])
+        # the daemon is still up and answering on the same client
+        assert client.healthz()["ok"] is True
+        assert client.query(good)["ok"] is True
 
     def test_unknown_route_is_404(self, daemon, client):
         status, body = client._request("GET", "/nope", None)
