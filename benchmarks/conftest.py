@@ -8,15 +8,9 @@ the paper's qualitative claims so regressions fail loudly.
 
 from __future__ import annotations
 
-import json
-import os
-import time
-import uuid
-
 import pytest
 
-from repro import Cluster, DcnPlusSpec, HpnSpec, SingleTorSpec, __version__
-from repro.engine.manifest import ExperimentRecord, RunManifest
+from repro import Cluster, DcnPlusSpec, HpnSpec, SingleTorSpec
 from repro.fabric.solver import IncrementalMaxMinSolver
 
 
@@ -36,94 +30,6 @@ def set_fair_rates(cluster, flows):
     for f in flows:
         f.rate_gbps = solver.rates[f.flow_id]
     return flows
-
-
-# ----------------------------------------------------------------------
-# engine manifests + perf trajectory
-#
-# Each benchmark session emits one engine run manifest (one record per
-# benchmark, wall time + outcome) and appends a row to
-# BENCH_trajectory.json, the cross-run perf history. Opt out with
-# REPRO_BENCH_MANIFEST=0; redirect with REPRO_BENCH_DIR.
-# ----------------------------------------------------------------------
-_BENCH_CALLS = []
-_SESSION_T0 = [0.0]
-
-
-def _bench_dir() -> str:
-    default = os.path.join(os.path.dirname(__file__), ".artifacts")
-    return os.environ.get("REPRO_BENCH_DIR", default)
-
-
-def _manifests_enabled() -> bool:
-    return os.environ.get("REPRO_BENCH_MANIFEST", "1") != "0"
-
-
-def pytest_sessionstart(session):
-    _SESSION_T0[0] = time.time()
-
-
-def pytest_runtest_logreport(report):
-    if report.when == "call":
-        _BENCH_CALLS.append(
-            (report.nodeid, report.outcome, report.duration)
-        )
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _manifests_enabled() or not _BENCH_CALLS:
-        return
-    manifest = RunManifest(
-        run_id=f"{time.strftime('%Y%m%dT%H%M%S')}-{uuid.uuid4().hex[:8]}",
-        backend="pytest",
-        workers=1,
-        code_versions={"repro": __version__},
-        started_at_s=_SESSION_T0[0],
-        finished_at_s=time.time(),
-        records=[
-            ExperimentRecord(
-                kind=f"benchmark:{nodeid}",
-                params={},
-                seed=0,
-                cache_key="",
-                cache_hit=False,
-                wall_time_s=duration,
-                worker="pytest",
-                payload={"outcome": outcome},
-            )
-            for nodeid, outcome, duration in _BENCH_CALLS
-        ],
-    )
-    out_dir = _bench_dir()
-    try:
-        path = manifest.save(out_dir)
-    except OSError:
-        return  # read-only checkout: manifests are best-effort
-    trajectory_path = os.path.join(out_dir, "BENCH_trajectory.json")
-    try:
-        with open(trajectory_path) as fh:
-            trajectory = json.load(fh)
-        if not isinstance(trajectory, list):
-            trajectory = []
-    except (OSError, json.JSONDecodeError):
-        trajectory = []
-    trajectory.append(
-        {
-            "run_id": manifest.run_id,
-            "repro_version": __version__,
-            "finished_at_s": manifest.finished_at_s,
-            "total_wall_s": sum(d for _, _, d in _BENCH_CALLS),
-            "benchmarks": {
-                nodeid: {"outcome": outcome, "wall_time_s": duration}
-                for nodeid, outcome, duration in _BENCH_CALLS
-            },
-        }
-    )
-    with open(trajectory_path, "w") as fh:
-        json.dump(trajectory, fh, indent=2, sort_keys=True)
-    _BENCH_CALLS.clear()
-    print(f"\nengine manifest: {path}")
-    print(f"perf trajectory: {trajectory_path}")
 
 
 @pytest.fixture(scope="session")

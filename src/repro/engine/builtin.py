@@ -1,8 +1,9 @@
 """Built-in experiment catalogue.
 
 Registers the repo's existing simulation entry points -- design
-sweeps, Monte-Carlo reliability, fault-injection drills, collective
-benchmarks -- as engine experiments. Importing this module (which
+sweeps, Monte-Carlo reliability, fault-injection drills, a collective
+benchmark scenario, fleet churn, the health drill and the solver
+equivalence check -- as engine experiments. Importing this module (which
 :func:`repro.engine.spec.get_experiment` does lazily) populates the
 registry, including inside process-pool workers.
 
@@ -218,47 +219,27 @@ def bench_allreduce(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# solver-core perf benchmark (incremental vs full engine)
+# solver equivalence: the incremental engine vs the full-solve oracle
 # ----------------------------------------------------------------------
 @experiment(
-    "bench.simcore",
-    "Solver-core perf: incremental vs full engine on a dual-plane "
-    "multi-step AllReduce with an injected link failure",
+    "solver.equivalence",
+    "Both rate engines over one seeded dual-plane multi-step AllReduce "
+    "with an injected link failure: every finish time must agree to "
+    "1e-9, and no flow may finish in one engine only",
     defaults={
         "hosts": 16, "conns": 2, "steps": 80, "step_gap_s": 0.004,
         "edge_mb": 24, "jitter": 0.05, "fail_at_s": 0.05,
-        "repair_at_s": 0.12, "repeat": 1, "tier": "reference",
-        # pod/multipod workload overrides live under their own key so
-        # the reference defaults above never leak into those tiers
-        "tier_params": {},
+        "repair_at_s": 0.12,
     },
 )
-def bench_simcore(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
-    from ..fabric.simbench import run_pod_tier, run_simcore
+def solver_equivalence(params: Dict[str, Any],
+                       seed: int) -> Mapping[str, Any]:
+    from ..fabric.solver import SolverEquivalence
+    from ..workloads.reference import build_reference_workload
 
-    tier = str(params.get("tier", "reference"))
-    if tier in ("pod", "multipod"):
-        return run_pod_tier(dict(params.get("tier_params") or {}),
-                            seed, tier)
-    return run_simcore(dict(params), seed)
-
-
-# ----------------------------------------------------------------------
-# routing perf benchmark (cached/batched vs uncached walker)
-# ----------------------------------------------------------------------
-@experiment(
-    "bench.routing",
-    "Routing perf: compiled FIB + route cache vs the uncached "
-    "hop-by-hop walker on 15-segment-pod ring traffic with link flaps",
-    defaults={
-        "segments": 15, "hosts_per_segment": 8, "aggs_per_plane": 8,
-        "conns": 2, "steps": 20, "flap_every": 5, "campaign_cases": 50,
-    },
-)
-def bench_routing(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
-    from ..routing.routebench import run_routing_bench
-
-    return run_routing_bench(dict(params), seed)
+    topo, flows, events = build_reference_workload(dict(params), seed)
+    report = SolverEquivalence().check_run(topo, flows, events)
+    return dict(report.to_jsonable(), flows=len(flows))
 
 
 # ----------------------------------------------------------------------
@@ -316,46 +297,3 @@ def health_scenario(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
     from ..obs.health.scenario import run_health_scenario
 
     return run_health_scenario(dict(params), seed)
-
-
-# ----------------------------------------------------------------------
-# fleet perf benchmark (churn at pod scale, wall-clock measured)
-# ----------------------------------------------------------------------
-@experiment(
-    "bench.fleet",
-    "Fleet perf: >=200 arrivals churning through a multi-segment pod "
-    "with concurrent frontend flow classes, wall-clock measured",
-    defaults={
-        "arch": "hpn", "segments": 6, "hosts_per_segment": 16,
-        "aggs_per_plane": 8, "pods": 1, "arrivals": 240,
-        "policy": "pack", "snapshots": 6, "frontend": True,
-        "mean_interarrival_s": 120.0, "mean_duration_s": 3600.0,
-        "edge_mb": 64.0,
-    },
-)
-def bench_fleet(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
-    from ..fleet import run_fleet_bench
-
-    return run_fleet_bench(dict(params), seed)
-
-
-# ----------------------------------------------------------------------
-# serve perf benchmark (batched dispatch vs serial what-if evaluation)
-# ----------------------------------------------------------------------
-@experiment(
-    "bench.serve",
-    "Serve perf: mixed path/planes/RePaC/residual what-if workload "
-    "dispatched in micro-batches over the warm shared router vs "
-    "serial uncached evaluation, byte-identity checked",
-    defaults={
-        "segments": 15, "hosts_per_segment": 8, "aggs_per_plane": 8,
-        "requests": 24000, "pairs": 150, "conns": 2,
-        "planes_frac": 0.05, "repac_frac": 0.02, "whatif_frac": 0.01,
-        "repac_pairs": 3, "repac_num_paths": 3, "repac_span": 48,
-        "whatif_pairs": 2, "batch_size": 64,
-    },
-)
-def bench_serve(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
-    from ..serve.bench import run_serve_bench
-
-    return run_serve_bench(dict(params), seed)

@@ -25,8 +25,8 @@ re-solving rates at each boundary. Two solver engines are available:
 * ``solver="full"`` -- the original from-scratch
   :func:`max_min_rates` at every boundary. Kept as the
   differential-testing oracle (see
-  :class:`~repro.fabric.solver.SolverEquivalence`) and as the perf
-  baseline the ``bench.simcore`` suite gates against.
+  :class:`~repro.fabric.solver.SolverEquivalence`), for checking
+  only.
 
 See ``docs/simulator.md`` for the architecture and complexity table.
 """
@@ -277,7 +277,7 @@ class FluidSimulator:
     dirty-set re-solve over a persistent incidence index, one fill per
     dirty connected component) or ``"full"`` (the original
     per-boundary from-scratch :func:`max_min_rates`, kept as the test
-    oracle and perf baseline). See docs/simulator.md, "Solver engines".
+    oracle). See docs/simulator.md, "Solver engines".
     """
 
     def __init__(self, topo: Topology, sample_links: bool = False,

@@ -236,7 +236,7 @@ class EquivalenceReport:
 class SolverEquivalence:
     """Asserts incremental == full (oracle) to ``tol`` everywhere.
 
-    Two layers of checking:
+    Three checks and one campaign:
 
     * :meth:`check_rates` -- drive one solver through a scripted event
       sequence, comparing its spliced rates against a from-scratch
@@ -244,8 +244,11 @@ class SolverEquivalence:
     * :meth:`check_run` -- run a full :class:`FluidSimulator` twice
       over the same flow objects (reset in between), once per engine,
       and compare ``SimResult.flow_finish``;
+    * :meth:`component_drift` -- compare the rates a paused
+      incremental simulator has committed against an oracle solve of
+      each connected component, which stays affordable at Pod scale;
     * :meth:`run_random` -- a seeded campaign of randomized topologies,
-      flow sets, and failure scripts through both layers.
+      flow sets, and failure scripts through the first two checks.
     """
 
     def __init__(self, tol: float = 1e-9):
@@ -372,6 +375,43 @@ class SolverEquivalence:
                     f"{label}: flow {f.flow_id} finish full={a!r} "
                     f"incremental={b!r} (err {err:.3e})"
                 )
+        return report
+
+    # ------------------------------------------------------------------
+    def component_drift(
+        self,
+        sim,
+        report: Optional[EquivalenceReport] = None,
+        label: str = "case",
+    ) -> EquivalenceReport:
+        """Committed rates of ``sim`` vs the oracle, per component.
+
+        ``sim`` is an incremental :class:`FluidSimulator` stopped
+        mid-run (``run(until=...)``), with link states still as its
+        last solve saw them. Components are closed, so the oracle's
+        restricted solve is exact; one flat oracle pass over a Pod's
+        15k coupled flows would cost far more. Each component counts
+        as one checked solve.
+        """
+        from .simulator import max_min_rates
+
+        report = report if report is not None else EquivalenceReport()
+        index = sim._solver.index
+        for comp_flows, _links in index.components(index.flows, ()):
+            live = [index.flows[fid] for fid in sorted(comp_flows)]
+            oracle = max_min_rates(live, sim.link_gbps)
+            report.solves_checked += 1
+            for f in live:
+                err = abs(f.rate_gbps - oracle[f.flow_id])
+                report.flows_checked += 1
+                if err > report.max_rate_err:
+                    report.max_rate_err = err
+                if err > self.tol:
+                    report.failures.append(
+                        f"{label}: flow {f.flow_id} committed="
+                        f"{f.rate_gbps!r} oracle={oracle[f.flow_id]!r} "
+                        f"(err {err:.3e})"
+                    )
         return report
 
     # ------------------------------------------------------------------

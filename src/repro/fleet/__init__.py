@@ -9,8 +9,8 @@ aggregated traffic classes including Figure-4 checkpoint storms
 (:mod:`.sim`) that drives admit -> place -> run -> depart while
 measuring queue waits, fragmentation, and tenant interference.
 
-Engine entry points: ``fleet.churn``, ``fleet.interference`` and the
-perf experiment ``bench.fleet`` (see :mod:`repro.engine.builtin`).
+Engine entry points: ``fleet.churn`` and ``fleet.interference`` (see
+:mod:`repro.engine.builtin`).
 """
 
 from .arrivals import ArrivalSpec, JobArrival, generate_arrivals
@@ -39,7 +39,6 @@ from .sim import (
     FleetResult,
     FleetSimulator,
     run_churn,
-    run_fleet_bench,
     run_interference,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "policy_names",
     "register_policy",
     "run_churn",
-    "run_fleet_bench",
     "run_interference",
     "storage_class",
     "tier_peak_utilization",

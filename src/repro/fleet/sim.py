@@ -16,9 +16,9 @@ emits ``fleet.*`` metrics (jobs running, queue depth/wait, GPUs busy)
 and one Chrome-trace track per job (queued + running spans), so
 ``repro trace fleet.churn`` renders the whole fleet timeline.
 
-The module-level entry points :func:`run_churn`,
-:func:`run_interference` and :func:`run_fleet_bench` are the pure
-``(params, seed)`` functions the engine catalogue registers.
+The module-level entry points :func:`run_churn` and
+:func:`run_interference` are the pure ``(params, seed)`` functions the
+engine catalogue registers.
 """
 
 from __future__ import annotations
@@ -568,25 +568,3 @@ def run_interference(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
             "frontend": snap["frontend"],
         }
     return out
-
-
-def run_fleet_bench(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """Perf benchmark body for ``bench.fleet`` (wall-clock measured)."""
-    import time
-
-    t0 = time.perf_counter()
-    payload = run_churn(params, seed)
-    wall_s = time.perf_counter() - t0
-    snapshots = payload.pop("snapshots")
-    payload["snapshot_count"] = len(snapshots)
-    payload["frontend_classes"] = sum(
-        len(s["frontend"].get("classes", [])) for s in snapshots
-    )
-    payload["backend_flows"] = sum(
-        s["backend"].get("flows", 0) for s in snapshots
-    )
-    payload["wall_s"] = round(wall_s, 4)
-    payload["arrivals_per_sec"] = round(
-        payload["arrivals"] / max(wall_s, _EPS), 2
-    )
-    return payload

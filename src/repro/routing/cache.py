@@ -5,7 +5,7 @@ and walks flows over the compiled :class:`~repro.routing.fib.Fib`
 tables instead of re-deriving candidates from adjacency dicts. The
 uncached :class:`~repro.routing.ecmp.Router` walker is untouched and
 serves as the differential oracle (see
-:mod:`repro.routing.routebench`): cached and uncached paths must be
+:mod:`repro.routing.equivalence`): cached and uncached paths must be
 byte-identical, including :class:`RoutingError` outcomes.
 
 Invalidation mirrors BGP /32 withdrawal scope. ``Topology.state_epoch``

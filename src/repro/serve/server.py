@@ -13,7 +13,9 @@ One event loop, one :class:`~repro.serve.batching.MicroBatcher`, one
 
 The HTTP layer is deliberately minimal (keep-alive, Content-Length
 bodies, JSON in/out) -- enough for the CLI client, the CI smoke job,
-and curl; it is not a general web server.
+and curl; it is not a general web server. A ``Content-Length`` that is
+not a non-negative decimal integer leaves the body unframed: the
+daemon answers 400 and closes the connection.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .query import Query, QueryError
 from .state import ServeState
 
 _MAX_BODY = 8 * 1024 * 1024
+
+
+class _FramingError(Exception):
+    """A request whose body cannot be delimited: answer 400 and close."""
 
 
 class ServeDaemon:
@@ -119,7 +125,16 @@ class ServeDaemon:
         self._writers.add(writer)
         try:
             while True:
-                request = await _read_request(reader)
+                try:
+                    request = await _read_request(reader)
+                except _FramingError as err:
+                    status, payload, content_type = _json(
+                        400, {"ok": False, "error": str(err)}
+                    )
+                    _write_response(writer, status, payload, content_type,
+                                    keep_alive=False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -256,8 +271,15 @@ async def _read_request(
         if ":" in text:
             key, _, value = text.partition(":")
             headers[key.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length < 0 or length > _MAX_BODY:
+    raw_length = headers.get("content-length", "0") or "0"
+    # HTTP allows digits only; int() would also take "+5", "1_0", "-5"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _FramingError(
+            f"Content-Length must be a non-negative decimal integer, "
+            f"got {raw_length!r}"
+        )
+    length = int(raw_length)
+    if length > _MAX_BODY:
         return None
     body = await reader.readexactly(length) if length else b""
     return method, target, headers, body

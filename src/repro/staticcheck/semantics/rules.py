@@ -455,7 +455,7 @@ ALLOWED_IMPORTS: Dict[str, Set[str]] = {
     "access": {"core", "obs", "topos", "routing"},
     "routing": {"core", "obs", "topos", "access", "staticcheck"},
     "telemetry": {"core", "obs", "topos", "routing"},
-    "fabric": {"core", "obs", "topos", "routing", "cluster"},
+    "fabric": {"core", "obs", "topos", "routing"},
     "collective": {"core", "obs", "topos", "routing", "fabric"},
     "training": {"core", "obs", "topos", "routing", "fabric", "collective"},
     "workloads": {"core", "obs", "topos", "routing", "fabric", "collective",
@@ -467,17 +467,16 @@ ALLOWED_IMPORTS: Dict[str, Set[str]] = {
     "cluster": {"core", "obs", "topos", "access", "routing", "fabric",
                 "collective", "training", "telemetry", "reliability"},
     "engine": {"core", "obs", "cluster", "collective", "fabric",
-               "reliability", "routing", "topos", "training", "analysis",
-               "fleet", "serve"},
+               "reliability", "topos", "training", "analysis", "fleet",
+               "workloads"},
     # fleet composes the substrates into multi-job cluster scenarios;
     # engine is allowed for derive_seed only (spec module, no cycle)
     "fleet": {"core", "obs", "topos", "routing", "fabric", "collective",
               "training", "workloads", "cluster", "engine"},
     "staticcheck": {"core", "obs", "topos", "telemetry", "routing",
                     "access"},
-    # the serving layer fronts warm routing state over HTTP; topos is
-    # for the bench's fabric builder only
-    "serve": {"core", "obs", "topos", "routing"},
+    # the serving layer fronts warm routing state over HTTP
+    "serve": {"core", "obs", "routing"},
     "viz": {"core", "obs", "topos", "routing", "fabric"},
     "cli": {"core", "obs", "topos", "routing", "cluster", "training",
             "reliability", "engine", "staticcheck", "viz", "collective",

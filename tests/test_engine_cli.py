@@ -21,8 +21,12 @@ class TestExpList:
         code, out, _ = run_cli(capsys, "exp", "list")
         assert code == 0
         for kind in ("reliability.trials", "sweep.oversubscription",
-                     "drill.link-failure", "bench.allreduce"):
+                     "drill.link-failure", "bench.allreduce",
+                     "solver.equivalence"):
             assert kind in out
+        for retired in ("bench.simcore", "bench.routing", "bench.fleet",
+                        "bench.serve"):
+            assert retired not in out
 
     def test_verbose_shows_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "exp", "list", "-v")

@@ -19,7 +19,7 @@ def run_cli(capsys, *argv):
 
 class TestCatalogue:
     def test_fleet_experiments_registered(self):
-        for name in ("fleet.churn", "fleet.interference", "bench.fleet"):
+        for name in ("fleet.churn", "fleet.interference"):
             defn = get_experiment(name)
             assert defn.defaults  # discoverable defaults
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import obs
@@ -13,6 +15,7 @@ from repro.fleet import (
     JobArrival,
     build_classes,
     generate_arrivals,
+    run_churn,
     tier_peak_utilization,
 )
 from repro.topos.spec import HpnSpec
@@ -80,6 +83,33 @@ class TestChurnLoop:
         assert result.makespan_s == pytest.approx(30.0)
         assert result.busy_gpu_seconds == pytest.approx(2 * 8 * 30.0)
         assert result.total_gpus == 16 * 8
+
+
+class TestChurnAtPodScale:
+    def test_every_arrival_resolves_within_budget(self):
+        """240 arrivals over a 6-segment pod with frontend classes."""
+        params = {
+            "arch": "hpn", "segments": 6, "hosts_per_segment": 16,
+            "aggs_per_plane": 8, "pods": 1, "arrivals": 240,
+            "policy": "pack", "snapshots": 6, "frontend": True,
+            "mean_interarrival_s": 120.0, "mean_duration_s": 3600.0,
+            "edge_mb": 64.0,
+        }
+        t0 = time.perf_counter()
+        payload = run_churn(params, 7)
+        wall_s = time.perf_counter() - t0
+        assert payload["arrivals"] == 240
+        # admitted jobs all complete, the rest are capacity
+        # rejections: nothing hangs in the queue
+        assert payload["admitted"] + payload["rejected"] == 240
+        assert payload["completed"] == payload["admitted"]
+        snapshots = payload["snapshots"]
+        classes = sum(len(s["frontend"].get("classes", []))
+                      for s in snapshots)
+        assert classes >= 2 * len(snapshots)
+        # snapshots bound the fluid work by snapshots x flows, so the
+        # churn's length cannot drag simulation cost with it
+        assert wall_s <= 20.0
 
 
 class TestSnapshots:

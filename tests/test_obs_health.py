@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.fabric import FluidSimulator, SolverEquivalence
-from repro.fabric.simbench import build_reference_workload
 from repro.obs import (
     HealthConfig,
     HealthEngine,
@@ -32,6 +31,7 @@ from repro.obs.health import (
     replay,
 )
 from repro.obs.health.scenario import run_health_scenario
+from repro.workloads.reference import build_reference_workload
 
 HEALTH_GOLDEN = Path(__file__).with_name("health_golden.json")
 SOLVER_GOLDEN = Path(__file__).with_name("solver_golden.json")

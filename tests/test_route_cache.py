@@ -11,6 +11,8 @@ link, never the whole cache.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.errors import RoutingError
@@ -21,7 +23,9 @@ from repro.routing import (
     reset_shared_router,
     shared_router,
 )
+from repro.routing.equivalence import RoutingEquivalence
 from repro.routing.hashing import FiveTuple
+from repro.topos import HpnSpec, build_hpn
 
 
 def make_ft(src, dst, sport=50000):
@@ -432,3 +436,99 @@ class TestSharedRouterRegistry:
         assert evict_shared_router(topo) is False
         cold = shared_router(topo)
         assert cold.stats.hits == 0 and cold.stats.misses == 0
+
+
+def ring_schedule(topo, seed):
+    """``(requests, per-step link events)`` of per-rail ring traffic.
+
+    The requests model persistent RDMA connections of per-rail rings,
+    two per edge: the same (NIC pair, sport, plane) set in each of 20
+    steps. Every fifth step one switch-to-switch link goes down, and
+    it comes back the step after, so every ring stays routable.
+    """
+    conns, steps, flap_every = 2, 20, 5
+    rng = random.Random(seed)
+    hosts = sorted(h.name for h in topo.active_hosts())
+    rails = [n.rail for n in topo.hosts[hosts[0]].backend_nics()]
+    # consecutive ranks land in different segments: in name order
+    # nearly every edge would stay under one ToR and skip tier 2
+    rng.shuffle(hosts)
+    requests = []
+    for rail in rails:
+        for i, src_host in enumerate(hosts):
+            src = topo.hosts[src_host].nic_for_rail(rail)
+            dst = topo.hosts[hosts[(i + 1) % len(hosts)]].nic_for_rail(rail)
+            for c in range(conns):
+                ft = FiveTuple(src.ip, dst.ip, 49152 + c, 4791)
+                requests.append((src, dst, ft, c % 2))
+    interior = [
+        link.link_id for link in topo.links.values()
+        if link.a.node in topo.switches and link.b.node in topo.switches
+    ]
+    schedule = []
+    flapped = None
+    for step in range(steps):
+        events = []
+        if flapped is not None:
+            events.append((flapped, True))
+            flapped = None
+        if step and step % flap_every == 0:
+            flapped = rng.choice(interior)
+            events.append((flapped, False))
+        schedule.append(events)
+    return requests, schedule
+
+
+class TestPodRingEquivalence:
+    """A 15-segment pod's ring traffic under link flaps, seed 7."""
+
+    def test_route_many_matches_walker_every_step(self):
+        topo = build_hpn(HpnSpec(
+            segments_per_pod=15, hosts_per_segment=8,
+            backup_hosts_per_segment=0, aggs_per_plane=8,
+        ))
+        requests, schedule = ring_schedule(topo, seed=7)
+
+        def replay(route_step):
+            steps = []
+            for events in schedule:
+                for lid, up in events:
+                    topo.set_link_state(lid, up)
+                steps.append(route_step())
+            for lid in list(topo.links):
+                topo.set_link_state(lid, True)
+            return steps
+
+        oracle = Router(topo)
+        want = replay(lambda: [outcome(oracle, *req) for req in requests])
+        cached = CachedRouter(topo)
+
+        def cached_step():
+            paths = cached.route_many(requests, strict=False)
+            return [
+                # unroutable: re-ask for the message under this step's
+                # link state
+                outcome(cached, *req) if p is None
+                else ("ok", tuple(p.nodes), tuple(p.dirlinks), p.plane)
+                for req, p in zip(requests, paths)
+            ]
+
+        got = replay(cached_step)
+        total = len(requests) * len(schedule)
+        assert total == 38400
+        mismatches = [
+            (step, i, a, b)
+            for step, (w, g) in enumerate(zip(want, got))
+            for i, (a, b) in enumerate(zip(w, g)) if a != b
+        ]
+        assert not mismatches, (len(mismatches), mismatches[0])
+        # a flap dirties the routes through the flapped link, a small
+        # slice of the cache, never the whole of it
+        assert 0 < cached.stats.invalidations < total * 0.05, (
+            cached.stats.as_dict())
+
+    def test_failure_campaign_over_three_architectures(self):
+        report = RoutingEquivalence(seed=8).run_random(cases=50)
+        assert report["ok"], report["mismatches"]
+        assert report["cases"] >= 50
+        assert report["checked"] >= report["cases"]

@@ -355,6 +355,29 @@ class TestSem004:
         assert "'obs.health' imports 'engine'" in hits[0].message
         assert hits[0].location.file.endswith("detectors.py")
 
+    def test_fabric_importing_cluster_is_a_violation(self, tmp_path):
+        # cluster reaches fabric through collective; the reverse edge
+        # would close a package cycle
+        files = {
+            "cluster.py": "class Cluster:\n    pass\n",
+            "fabric/workload.py": "from ..cluster import Cluster\n",
+        }
+        hits = run_rules(tmp_path, files, rules=["SEM004"]).active
+        assert [d.rule_id for d in hits] == ["SEM004"]
+        assert "'fabric' imports 'cluster'" in hits[0].message
+        assert hits[0].location.file.endswith("workload.py")
+
+    def test_serve_importing_topos_is_a_violation(self, tmp_path):
+        # the daemon serves a topology it is handed; it builds none
+        files = {
+            "topos/hpn.py": "def build_hpn(spec):\n    pass\n",
+            "serve/state.py": "from ..topos.hpn import build_hpn\n",
+        }
+        hits = run_rules(tmp_path, files, rules=["SEM004"]).active
+        assert [d.rule_id for d in hits] == ["SEM004"]
+        assert "'serve' imports 'topos'" in hits[0].message
+        assert hits[0].location.file.endswith("state.py")
+
     def test_obs_health_simulation_edges_allowed(self, tmp_path):
         files = {
             "fleet/sim.py": "class F:\n    pass\n",

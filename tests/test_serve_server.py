@@ -9,6 +9,8 @@ mapping, and graceful shutdown.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -162,6 +164,32 @@ class TestEndpoints:
         # the daemon is still up and answering on the same client
         assert client.healthz()["ok"] is True
         assert client.query(good)["ok"] is True
+
+    def test_bad_content_length_gets_400_and_close(self, daemon, client):
+        # a body that cannot be framed once got no bytes back at all;
+        # HTTP allows digits only, so "+5" and "1_0" are malformed too
+        for value in ("abc", "-5", "+5", "1_0"):
+            with socket.create_connection(
+                ("127.0.0.1", daemon.daemon.port), timeout=10.0
+            ) as sock:
+                sock.sendall(
+                    b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + value.encode() + b"\r\n\r\n"
+                )
+                raw = b""
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:  # the daemon closed the connection
+                        break
+                    raw += chunk
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), raw
+            assert b"Connection: close" in head, raw
+            doc = json.loads(body)
+            assert doc["ok"] is False
+            assert "Content-Length" in doc["error"]
+            assert repr(value) in doc["error"]
+        assert client.healthz()["ok"] is True
 
     def test_unknown_route_is_404(self, daemon, client):
         status, body = client._request("GET", "/nope", None)

@@ -11,10 +11,13 @@ cycles keep them warm.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.serve import KINDS, Query, QueryError, ServeState
 from repro.serve.query import Query as Q
+from repro.topos import HpnSpec, build_hpn
 
 
 def agg_link_id(topo):
@@ -56,6 +59,74 @@ def mixed_workload(topo):
     ]
     # duplicate-heavy tail, deliberately interleaved
     return queries + queries[:6] + [queries[0]] * 3
+
+
+def mixed_load(topo, seed):
+    """A seeded path-heavy stream of 24,000 queries from small pools.
+
+    Path queries of 150 host pairs (two sports each), their planes
+    queries (5% of the stream), three RePaC pairs (2%) and two residual
+    what-ifs (1%), each failing one link.
+    """
+    requests, pairs, conns = 24000, 150, 2
+    planes_frac, repac_frac, whatif_frac = 0.05, 0.02, 0.01
+    rng = random.Random(seed)
+    hosts = sorted(h.name for h in topo.active_hosts())
+    rails = sorted(
+        {n.rail for n in next(iter(topo.hosts.values())).backend_nics()}
+    )
+
+    def pair():
+        src = hosts[rng.randrange(len(hosts))]
+        dst = hosts[rng.randrange(len(hosts))]
+        while dst == src:
+            dst = hosts[rng.randrange(len(hosts))]
+        return src, dst
+
+    path_pool, planes_pool = [], []
+    for _ in range(pairs):
+        src, dst = pair()
+        rail = rails[rng.randrange(len(rails))]
+        for c in range(conns):
+            path_pool.append(Query(
+                kind="path", src_host=src, dst_host=dst,
+                src_rail=rail, dst_rail=rail, sport=49152 + c,
+            ))
+        planes_pool.append(Query(
+            kind="planes", src_host=src, dst_host=dst,
+            src_rail=rail, dst_rail=rail,
+        ))
+    repac_pool = []
+    for _ in range(3):
+        src, dst = pair()
+        repac_pool.append(Query(kind="repac", src_host=src, dst_host=dst,
+                                num_paths=3, sport_span=48))
+    link_ids = sorted(topo.links)
+    whatif_pool = []
+    for _ in range(2):
+        src, dst = pair()
+        lid = link_ids[rng.randrange(len(link_ids))]
+        whatif_pool.append(Query(
+            kind="residual", src_host=src, dst_host=dst,
+            num_paths=2, sport_span=32, fail_links=(lid,),
+        ))
+    load = []
+    for _ in range(requests):
+        roll = rng.random()
+        if roll < whatif_frac:
+            pool = whatif_pool
+        elif roll < whatif_frac + repac_frac:
+            pool = repac_pool
+        elif roll < whatif_frac + repac_frac + planes_frac:
+            pool = planes_pool
+        else:
+            pool = path_pool
+        load.append(pool[rng.randrange(len(pool))])
+    return load
+
+
+def first_mismatch(a, b):
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), -1)
 
 
 class TestSerialExecution:
@@ -162,6 +233,29 @@ class TestBatchedExecution:
         state.execute_batch(mixed_workload(topo))
         assert {lid: l.up for lid, l in topo.links.items()} == link_state
         assert all(s.up for s in topo.switches.values())
+
+
+class TestMixedLoadAtPodScale:
+    def test_batched_equals_warm_serial_equals_oracle(self):
+        """24,000 queries over a 15-segment pod, seed 7."""
+        topo = build_hpn(HpnSpec(
+            segments_per_pod=15, hosts_per_segment=8, aggs_per_plane=8,
+        ))
+        load = mixed_load(topo, seed=7)
+        assert {q.kind for q in load} == set(KINDS)
+        oracle_state = ServeState(topo, fresh=True)
+        oracle = [oracle_state.execute_oracle(q) for q in load]
+        serial_state = ServeState(topo, fresh=True)
+        serial = [serial_state.execute(q) for q in load]
+        batch_state = ServeState(topo, fresh=True)
+        batched = []
+        for start in range(0, len(load), 64):
+            batched.extend(batch_state.execute_batch(load[start:start + 64]))
+        assert len(batched) == len(serial) == len(oracle) == 24000
+        assert first_mismatch(batched, serial) == -1
+        assert first_mismatch(batched, oracle) == -1
+        hit_rate = batch_state.router.stats.hit_rate
+        assert hit_rate >= 0.90, batch_state.router.stats.as_dict()
 
 
 class TestQueryObject:

@@ -15,13 +15,16 @@ from pathlib import Path
 import pytest
 
 from repro.core.units import GB, MB
+from repro.engine import Runner, get_experiment
 from repro.fabric import Flow, FluidSimulator, SolverEquivalence
-from repro.fabric.simbench import (
+from repro.routing import FiveTuple
+from repro.workloads.reference import (
     MULTIPOD_DEFAULTS,
+    POD_DEFAULTS,
     build_multipod_workload,
+    build_pod_workload,
     build_reference_workload,
 )
-from repro.routing import FiveTuple
 
 GOLDEN = Path(__file__).with_name("solver_golden.json")
 
@@ -142,14 +145,83 @@ class TestGoldenBytes:
             f"{len(diff)} of {len(want)} finishes differ; first at "
             f"position {diff[0]}: {got[diff[0]]} != {want[diff[0]]}"
         )
+        return sim
 
     def test_reference_workload(self):
-        """The perf suite's smoke shape at seed 7: 1,024 flows."""
-        self._check("reference")
+        """The reference shape at 8 hosts and seed 7: 1,024 flows."""
+        sim = self._check("reference")
+        # the dirty-set machinery engages rather than re-solving every
+        # component at every boundary
+        stats = sim._solver.stats
+        assert stats.incremental_solves > stats.full_solves
 
     def test_multipod_workload(self):
         """A 3-Pod PP job at seed 42: 320 flows, large components."""
         self._check("multipod")
+
+
+def _run_until(topo, flows, events, until):
+    """An incremental simulator paused at ``until``, events applied."""
+    sim = FluidSimulator(topo)
+    sim.add_flows(flows)
+    for t, lid, up in events:
+        sim.schedule(t, lambda s, l=lid, u=up: s.topo.set_link_state(l, u))
+    sim.run(until=until)
+    return sim
+
+
+class TestComponentDrift:
+    """Committed rates vs the oracle, per component, at scale shapes."""
+
+    def test_downscaled_pod_window(self):
+        """4 segments x 24 hosts: 768 flows, read after the flap."""
+        params = dict(POD_DEFAULTS, segments=4, hosts_per_segment=24,
+                      aggs_per_plane=8, edge_mb=8.0, window_s=0.0015)
+        topo, flows, events, _meta = build_pod_workload(params, 7)
+        assert len(flows) >= 500
+        sim = _run_until(topo, flows, events, params["window_s"])
+        report = SolverEquivalence().component_drift(sim)
+        assert report.ok, report.failures[:3]
+        assert report.flows_checked > 0
+        assert report.max_rate_err <= 1e-9
+
+    def test_multipod_mid_flap_probe(self):
+        """The 3-Pod PP job at seed 42: 1,280 flows, read mid-failure."""
+        params = dict(MULTIPOD_DEFAULTS)
+        topo, flows, events, _meta = build_multipod_workload(params, 42)
+        assert len(flows) >= 1000
+        probe_s = (params["fail_at_s"] + params["repair_at_s"]) / 2.0
+        sim = _run_until(topo, flows, events, probe_s)
+        assert not topo.links[events[0][1]].up  # the probe sees the failure
+        report = SolverEquivalence().component_drift(sim)
+        assert report.ok, report.failures[:3]
+        assert report.flows_checked > 0
+        assert report.max_rate_err <= 1e-9
+
+    def test_drift_beyond_tol_is_reported(self):
+        params = {"hosts": 8, "conns": 1, "steps": 1, "step_gap_s": 0.004,
+                  "edge_mb": 24, "jitter": 0.05, "fail_at_s": -1,
+                  "repair_at_s": 0}
+        topo, flows, events = build_reference_workload(params, 7)
+        sim = _run_until(topo, flows, events, 1e-4)
+        victim = next(f for f in flows if f.rate_gbps > 0)
+        victim.rate_gbps += 1e-6
+        report = SolverEquivalence().component_drift(sim, label="probe")
+        assert not report.ok
+        assert report.failures[0].startswith(
+            f"probe: flow {victim.flow_id} ")
+        assert report.max_rate_err == pytest.approx(1e-6)
+        assert SolverEquivalence(tol=1e-5).component_drift(sim).ok
+
+
+def test_solver_equivalence_experiment():
+    """The catalogue entry CI runs at 20,480 flows, at 128 flows."""
+    spec = get_experiment("solver.equivalence").spec(
+        seed=7, hosts=8, steps=2, conns=1)
+    payload = Runner(cache=None).run([spec]).payloads[0]
+    assert payload["ok"] is True, payload["failures"][:3]
+    assert payload["flows"] == payload["flows_checked"] == 128
+    assert payload["cases"] == 1
 
 
 def test_unknown_script_op_rejected(hpn_small, hpn_router):

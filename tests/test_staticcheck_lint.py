@@ -244,7 +244,7 @@ class TestLint006DirectRouter:
     def test_tests_and_benchmarks_exempt(self):
         for path in (
             "tests/test_router.py",
-            "benchmarks/perf/test_routing.py",
+            "benchmarks/test_fig13_port_balance.py",
             "tests/conftest.py",
         ):
             report = lint_source(
