@@ -250,9 +250,8 @@ class CachedRouter(Router):
         """Cache lookup + walk for one already-synced request.
 
         Returns ``("ok", FlowPath)`` or ``("err", message)`` -- the
-        memoized entry shape, so :meth:`route_many` can fan one
-        resolution out to duplicate requests without re-raising through
-        the cache machinery.
+        memoized entry shape, so :meth:`route_many` can answer an
+        unroutable request without raising.
         """
         key = (
             src_nic.host, src_nic.index,
@@ -282,32 +281,19 @@ class CachedRouter(Router):
     ) -> List[Optional[FlowPath]]:
         """Route a batch of flows through the cache.
 
-        One epoch sync covers the whole batch; repeated (pair, plane,
-        five-tuple) requests and requests re-issued across steps hit
-        the cache. Identical requests *within* the batch are
-        deduplicated: the cache (or the walker, on a miss) is consulted
-        once per distinct key and the result fanned out to every
-        duplicate slot, so a batch costs one miss per distinct key.
-        Fan-outs count as hits -- they are served from warm state.
-        With ``strict`` (default) the first unroutable request raises;
-        otherwise its slot is ``None``.
+        One epoch sync covers the whole batch, and every request goes
+        through the cache. Repeated (pair, plane, five-tuple) requests,
+        within the batch or across batches, hit the entry their first
+        occurrence stored -- unroutable ones included, since errors are
+        cached too -- so a batch costs one miss per distinct key and
+        duplicates get the same ``FlowPath`` object. With ``strict``
+        (default) the first unroutable request raises; otherwise its
+        slot is ``None``.
         """
         self._sync()
         out: List[Optional[FlowPath]] = []
-        seen: Dict[object, Tuple[str, object]] = {}
         for src_nic, dst_nic, ft, plane in requests:
-            key = (
-                src_nic.host, src_nic.index,
-                dst_nic.host, dst_nic.index,
-                plane, ft,
-            )
-            entry = seen.get(key)
-            if entry is not None:
-                self._hit()  # intra-batch fan-out: no cache machinery
-            else:
-                entry = self._resolve_synced(src_nic, dst_nic, ft, plane)
-                seen[key] = entry
-            outcome, payload = entry
+            outcome, payload = self._resolve_synced(src_nic, dst_nic, ft, plane)
             if outcome == "err":
                 if strict:
                     raise RoutingError(payload)

@@ -385,6 +385,26 @@ class TestBatchAndSharing:
         assert cached.stats.misses == len(distinct)
         assert cached.stats.hits == 2 * len(requests) - len(distinct)
 
+    def test_route_many_caches_unroutable_duplicates(self, hpn_mutable):
+        """Duplicate unroutable requests in one batch miss exactly once."""
+        topo = hpn_mutable
+        cached = CachedRouter(topo)
+        src = rail_nic(topo, "pod0/seg0/host0")
+        same_host = rail_nic(topo, "pod0/seg0/host0", rail=1)
+        dst = rail_nic(topo, "pod0/seg1/host0")
+        bad = (src, same_host, make_ft(src, same_host), None)
+        good = (src, dst, make_ft(src, dst), None)
+        paths = cached.route_many([bad, good] * 3, strict=False)
+        assert cached.stats.misses == 2
+        assert cached.stats.hits == 4
+        assert paths[0::2] == [None] * 3
+        assert paths[1] is not None
+        assert all(path is paths[1] for path in paths[1::2])
+        # strict mode raises the cached message without re-deriving it
+        with pytest.raises(RoutingError, match="intra-host traffic rides"):
+            cached.route_many([bad, good] * 3)
+        assert cached.stats.misses == 2
+
 
 class TestSharedRouterRegistry:
     """Satellite: the weakref registry must track router lifetime."""
