@@ -58,9 +58,6 @@ def evaluate_point(spec: HpnSpec, value: float,
     )
 
 
-_evaluate = evaluate_point  # compatibility alias for older callers
-
-
 def oversubscription_spec(base: HpnSpec, uplinks: int) -> HpnSpec:
     """The derived spec for one agg->core uplink count (§7 trade-off).
 

@@ -19,7 +19,6 @@ from .telemetry import (
     imbalance_ratio,
     jain_fairness,
     port_egress_gbps,
-    record_fabric_metrics,
     tor_ports_towards_nic,
     uplink_spread,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "jain_fairness",
     "max_min_rates",
     "port_egress_gbps",
-    "record_fabric_metrics",
     "run_flows",
     "tor_ports_towards_nic",
     "uplink_spread",

@@ -166,24 +166,19 @@ class SimResult:
 
     finish_time: float
     flow_finish: Dict[int, float]
-    #: (time, dirlink -> Gbps) samples collected at rate-change boundaries
-    samples: List[Tuple[float, Dict[int, float]]] = field(default_factory=list)
-
-    def completion_time(self) -> float:
-        return self.finish_time
 
 
 class _LinkView:
-    """Per-dirlink load and flow count, and per-tier peak utilization,
-    kept current from each solve's dirty links.
+    """:meth:`FluidSimulator.link_view`, maintained: per-dirlink load
+    and flow count, and per-tier peak utilization, kept current from
+    each solve's dirty links.
 
     The incremental engine keeps one when a recorder is attached.
     Arrays are indexed by the solver's dense link ids. A link's load is
     a left fold from 0.0 over its flows' committed rates in
     ``IncidenceIndex.link_flows`` order (activation order), one term
     per flow however often its path visits the link: the additions,
-    in order, of the from-scratch walk
-    (:meth:`FluidSimulator._walk_link_util`), so every value is
+    in order, of the from-scratch walk, so every value is
     bit-identical to it. A link counts as *live* while it carries a
     flow and has capacity; only live links have a utilization above 0.
     """
@@ -280,19 +275,17 @@ class FluidSimulator:
     oracle). See docs/simulator.md, "Solver engines".
     """
 
-    def __init__(self, topo: Topology, sample_links: bool = False,
-                 recorder=None, solver: str = "incremental"):
+    def __init__(self, topo: Topology, recorder=None,
+                 solver: str = "incremental"):
         if solver not in ("incremental", "full"):
             raise ValueError(f"unknown solver engine {solver!r}")
         self.topo = topo
-        self.sample_links = sample_links
         self.solver_mode = solver
         self.now = 0.0
         self._active: Dict[int, Flow] = {}
         self._events: List[_Event] = []
         self._seq = itertools.count()
         self._flow_finish: Dict[int, float] = {}
-        self._samples: List[Tuple[float, Dict[int, float]]] = []
         #: hook invoked after each rate solve: f(sim, rates)
         self.on_solve: Optional[Callable[["FluidSimulator", Dict[int, float]], None]] = None
         # observability: explicit recorder wins over the process-wide
@@ -425,8 +418,6 @@ class FluidSimulator:
                         view.peak, view.live_util, view.live_count)
                 if self.on_solve is not None:
                     self.on_solve(self, solver.rates)
-                if self.sample_links:
-                    self._samples.append((self.now, self._link_loads()))
 
                 dt = self._next_completion_dt()
                 if next_event_time is not None:
@@ -455,7 +446,6 @@ class FluidSimulator:
         return SimResult(
             finish_time=self.now,
             flow_finish=dict(self._flow_finish),
-            samples=self._samples,
         )
 
     def _report_link_changes(self) -> None:
@@ -637,8 +627,6 @@ class FluidSimulator:
                 self._record_link_util()
             if self.on_solve is not None:
                 self.on_solve(self, rates)
-            if self.sample_links:
-                self._samples.append((self.now, self._link_loads()))
 
             dt_complete = self._min_completion_dt()
             candidates = [dt_complete]
@@ -667,7 +655,6 @@ class FluidSimulator:
         return SimResult(
             finish_time=self.now,
             flow_finish=dict(self._flow_finish),
-            samples=self._samples,
         )
 
     # ------------------------------------------------------------------
@@ -681,18 +668,23 @@ class FluidSimulator:
             flows=flows_fixed,
         )
 
-    def _walk_link_util(self) -> Tuple[
+    def link_view(self) -> Tuple[
             Dict[int, float], Dict[int, int], Dict[int, float],
             Dict[str, float]]:
-        """From-scratch link view over every active flow.
+        """The measured link load, from scratch over every active flow.
 
         Returns ``(loads, counts, utils, peaks)``: Gbps and flow count
-        of every directed link an active flow crosses (each flow once
-        per link), utilization of the live ones among them (with
-        capacity), and each tier's peak utilization, for tiers whose
-        peak is above 0. The full engine records from this walk; the
-        incremental engine maintains the same values in its
-        :class:`_LinkView` (the tests compare the two).
+        of every directed link an active flow crosses, utilization of
+        the live ones among them (with capacity), and each tier's peak
+        utilization, for tiers whose peak is above 0.
+
+        This is the one definition of measured link load: a
+        measurement counts a flow **once per directed link**, however
+        often its path visits that link; only the solver's debit counts
+        each visit. The full engine records ``link_util`` from this
+        walk, the incremental engine maintains the same values in its
+        :class:`_LinkView` (the tests compare the two bit for bit), and
+        fleet snapshots read their per-tier peaks from it.
         """
         loads: Dict[int, float] = {}
         counts: Dict[int, int] = {}
@@ -714,7 +706,7 @@ class FluidSimulator:
 
     def _record_link_util(self) -> None:
         """Full engine: record link utilization from a from-scratch walk."""
-        _loads, counts, utils, peaks = self._walk_link_util()
+        _loads, counts, utils, peaks = self.link_view()
         self._publish_link_util(peaks, utils, counts)
 
     def _publish_link_util(self, peaks: Mapping[str, float],
@@ -790,13 +782,6 @@ class FluidSimulator:
         while self._events and self._events[0].time <= self.now + _EPS:
             event = heapq.heappop(self._events)
             event.action(self)
-
-    def _link_loads(self) -> Dict[int, float]:
-        loads: Dict[int, float] = defaultdict(float)
-        for flow in self._active.values():
-            for dl in flow.path.dirlinks:
-                loads[dl] += flow.rate_gbps
-        return dict(loads)
 
     # ------------------------------------------------------------------
     @property

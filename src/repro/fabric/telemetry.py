@@ -8,7 +8,7 @@ per-port traffic towards a NIC (Figure 13), aggregation-switch ingress
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List
 
 from ..core.entities import PortKind, SwitchRole
 from ..core.topology import Topology
@@ -89,10 +89,14 @@ def imbalance_ratio(values: Iterable[float]) -> float:
 
 
 def uplink_spread(topo: Topology, flows: Iterable[Flow], switch: str) -> List[float]:
-    """Flow count per uplink of a switch -- the raw ECMP spread."""
+    """Flow count per uplink of a switch -- the raw ECMP spread.
+
+    A flow counts once per uplink, however often its path visits it, as
+    in :func:`dirlink_loads`.
+    """
     counts: Dict[int, float] = defaultdict(float)
     for f in flows:
-        for dl in f.path.dirlinks:
+        for dl in dict.fromkeys(f.path.dirlinks):
             link = topo.links[dl // 2]
             src_node = link.a.node if dl % 2 == 0 else link.b.node
             if src_node == switch:
@@ -114,44 +118,3 @@ def jain_fairness(values: Iterable[float]) -> float:
         return 1.0
     return num / den
 
-
-# ----------------------------------------------------------------------
-# derived metric views (repro.obs)
-# ----------------------------------------------------------------------
-def record_fabric_metrics(
-    recorder,
-    topo: Topology,
-    flows: Iterable[Flow],
-    ts_s: float = 0.0,
-    switches: Optional[Sequence[str]] = None,
-) -> None:
-    """Fold this module's imbalance summaries into a recorder.
-
-    The one-off helpers above stay usable standalone; this view renders
-    them as labeled gauge series -- the paper's Figure 13/15b panels as
-    metrics: total aggregation ingress, and per-switch uplink spread
-    imbalance (max/min ratio) + Jain fairness for every switch named in
-    ``switches`` (default: all aggregation switches).
-    """
-    from ..obs import resolve as _obs_resolve
-
-    rec = _obs_resolve(recorder)
-    if rec is None:
-        return
-    flows = list(flows)
-    reg = rec.metrics
-    reg.gauge("fabric.agg_ingress_gbps").set(
-        agg_ingress_gbps(topo, flows), ts_s=ts_s
-    )
-    if switches is None:
-        switches = sorted(
-            s.name for s in topo.switches_by_role(SwitchRole.AGG)
-        )
-    for name in switches:
-        spread = uplink_spread(topo, flows, name)
-        reg.gauge("fabric.uplink_imbalance", switch=name).set(
-            imbalance_ratio(spread), ts_s=ts_s
-        )
-        reg.gauge("fabric.jain_fairness", switch=name).set(
-            jain_fairness(spread), ts_s=ts_s
-        )

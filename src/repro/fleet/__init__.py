@@ -20,9 +20,9 @@ from .frontend import (
     FrontendTrafficSpec,
     build_classes,
     checkpoint_classes,
+    first_solve_tier_util,
     inference_class,
     storage_class,
-    tier_peak_utilization,
 )
 from .policies import (
     InterleavedWorstCasePolicy,
@@ -58,6 +58,7 @@ __all__ = [
     "SegmentPackingPolicy",
     "build_classes",
     "checkpoint_classes",
+    "first_solve_tier_util",
     "generate_arrivals",
     "get_policy",
     "inference_class",
@@ -66,5 +67,4 @@ __all__ = [
     "run_churn",
     "run_interference",
     "storage_class",
-    "tier_peak_utilization",
 ]

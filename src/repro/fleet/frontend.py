@@ -13,7 +13,7 @@ number of users.
 it, and runs them through the same
 :class:`~repro.fabric.simulator.FluidSimulator` the backend uses. The
 output per class is achieved vs. offered throughput (the contention
-ratio) plus per-tier peak utilization.
+ratio) plus per-tier peak utilization at the first rate solve.
 
 Extension point: append :class:`FlowClass` records to the list any
 builder returns -- the simulator treats every class identically.
@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.topology import Topology
 from ..core.units import gbps_to_bytes_per_sec
 from ..engine.spec import derive_seed
 from ..fabric.flow import Flow
@@ -138,25 +137,26 @@ def build_classes(
 
 
 # ----------------------------------------------------------------------
-def tier_peak_utilization(
-    topo: Topology, loads: Dict[int, float]
-) -> Dict[str, float]:
-    """Peak link utilization per tier from a dirlink -> Gbps load map.
+def first_solve_tier_util(sim: FluidSimulator) -> Dict[str, float]:
+    """Per-tier peak utilization at ``sim``'s first rate solve.
 
-    Tier labels are :meth:`~repro.core.topology.Topology.link_tier`'s.
-    Shared by the frontend model and the backend interference
-    snapshots.
+    Call before ``sim.run()``: returns a dict, empty until the first
+    solve, that a self-removing ``on_solve`` hook then fills from
+    :meth:`~repro.fabric.simulator.FluidSimulator.link_view`, tiers
+    sorted, each peak rounded to 6 places. Shared by the frontend
+    model and the backend interference snapshots.
     """
-    per_tier: Dict[str, float] = {}
-    for dl in sorted(loads):
-        link = topo.links[dl // 2]
-        if not link.up or link.gbps <= _EPS:
-            continue
-        util = loads[dl] / link.gbps
-        tier = topo.link_tier(dl // 2)
-        if util > per_tier.get(tier, 0.0):
-            per_tier[tier] = util
-    return per_tier
+    tier_util: Dict[str, float] = {}
+
+    def on_first_solve(sim: FluidSimulator,
+                       _rates: Dict[int, float]) -> None:
+        sim.on_solve = None
+        _loads, _counts, _utils, peaks = sim.link_view()
+        for tier in sorted(peaks):
+            tier_util[tier] = round(peaks[tier], 6)
+
+    sim.on_solve = on_first_solve
+    return tier_util
 
 
 class FrontendModel:
@@ -239,10 +239,10 @@ class FrontendModel:
         }
         if not flows:
             return result
-        sim = FluidSimulator(self.topo, sample_links=True,
-                             recorder=recorder)
+        sim = FluidSimulator(self.topo, recorder=recorder)
         sim.add_flows(flows)
-        sim_result = sim.run(until=window_s)
+        result["tier_util"] = first_solve_tier_util(sim)
+        sim.run(until=window_s)
         remaining = {f.flow_id: f.remaining_bytes for f in sim.active_flows}
         by_tag: Dict[str, float] = {}
         for f in flows:
@@ -261,12 +261,4 @@ class FrontendModel:
                     achieved / cls.offered_gbps, 6
                 ) if cls.offered_gbps > _EPS else 1.0,
             })
-        if sim_result.samples:
-            _t0, loads = sim_result.samples[0]
-            result["tier_util"] = {
-                tier: round(util, 6)
-                for tier, util in sorted(
-                    tier_peak_utilization(self.topo, loads).items()
-                )
-            }
         return result

@@ -42,7 +42,7 @@ from .frontend import (
     FrontendModel,
     FrontendTrafficSpec,
     build_classes,
-    tier_peak_utilization,
+    first_solve_tier_util,
 )
 from .policies import PlacementDecision, get_policy
 
@@ -347,9 +347,9 @@ class FleetSimulator:
         all_flows = [f for jid in sorted(job_flows)
                      for f in job_flows[jid]]
         if all_flows:
-            sim = FluidSimulator(self.cluster.topo, sample_links=True,
-                                 recorder=self._rec)
+            sim = FluidSimulator(self.cluster.topo, recorder=self._rec)
             sim.add_flows(all_flows)
+            tier_util = first_solve_tier_util(sim)
             result = sim.run()
             per_job = []
             for jid in sorted(job_flows):
@@ -363,14 +363,6 @@ class FleetSimulator:
                     "slowdown": round(finish / max(alone, _EPS), 6),
                 })
             slowdowns = [p["slowdown"] for p in per_job]
-            tier_util: Dict[str, float] = {}
-            if result.samples:
-                _t0, loads = result.samples[0]
-                tier_util = {
-                    tier: round(util, 6)
-                    for tier, util in sorted(tier_peak_utilization(
-                        self.cluster.topo, loads).items())
-                }
             snap["backend"] = {
                 "flows": len(all_flows),
                 "mean_slowdown": round(sum(slowdowns) / len(slowdowns), 6),

@@ -9,8 +9,9 @@ it once at construction (``rec.health if rec is not None else None``)
 
 Per acted-on sample the hub:
 
-* records per-tier / per-plane utilization gauges and a 0..1
-  utilization histogram (``health.*`` series, FRACTION_BUCKETS);
+* records per-plane peak utilization gauges and a per-tier 0..1
+  utilization histogram (``health.*`` series, FRACTION_BUCKETS); the
+  per-tier peak is the simulator's ``link_util{tier}`` series;
 * feeds the hotspot detector every near-saturated directed link (plus
   links whose streak is open, so closures are observed);
 * groups ToR uplink flow counts into ECMP spread (max member share)
@@ -76,7 +77,6 @@ class SamplerHub:
         # Registry lookups rebuild label strings, which is too
         # expensive to repeat per link per acted sample.
         self._h_frac: Dict[str, Any] = {}
-        self._g_tier: Dict[str, Any] = {}
         self._g_plane: Dict[str, Any] = {}
         self._g_link: Dict[str, Any] = {}
         self._g_spread: Dict[str, Any] = {}
@@ -154,7 +154,6 @@ class SamplerHub:
         cfg = self.config
         m = self._recorder.metrics
 
-        per_tier: Dict[str, float] = {}
         plane_peak: Dict[str, float] = {}
         label_util: Dict[str, float] = {}
         tor_counts: Dict[str, Dict[int, int]] = {}
@@ -167,8 +166,6 @@ class SamplerHub:
                 meta = self._meta(topo, dl)
             tier, plane, label, tor = meta
             label_util[label] = util
-            if util > per_tier.get(tier, 0.0):
-                per_tier[tier] = util
             if plane is not None and util > plane_peak.get(plane, 0.0):
                 plane_peak[plane] = util
             hist = h_frac.get(tier)
@@ -179,12 +176,6 @@ class SamplerHub:
             hist.observe(util)
             if tor is not None:
                 tor_counts.setdefault(tor, {})[dl] = counts[dl]
-        for tier in sorted(per_tier):
-            g = self._g_tier.get(tier)
-            if g is None:
-                g = self._g_tier[tier] = m.gauge(
-                    "health.tier_util", tier=tier)
-            g.set(per_tier[tier], ts_s=now)
         for plane in sorted(plane_peak):
             g = self._g_plane.get(plane)
             if g is None:

@@ -11,14 +11,15 @@ finding. Use :func:`repro.staticcheck.analyze_topology` (or the CLI's
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..core.entities import PortKind
 from ..core.errors import TopologyError
 from ..core.topology import Topology
 
 
-def _raise_first(topo: Topology, rule_ids: List[str]) -> None:
+def _raise_first(topo: Topology,
+                 rule_ids: Optional[List[str]] = None) -> None:
     from ..staticcheck import run_topology_rules
 
     report = run_topology_rules(topo, rule_ids=rule_ids)
@@ -34,17 +35,7 @@ def validate(topo: Topology) -> None:
     non-expensive topology rule runs (architecture-filtered), and the
     first error-severity diagnostic becomes a :class:`TopologyError`.
     """
-    from ..staticcheck import run_topology_rules
-
-    report = run_topology_rules(topo)
-    errors = report.errors
-    if errors:
-        raise TopologyError(errors[0].message)
-
-
-def check_links_consistent(topo: Topology) -> None:
-    """Every link references two existing, mutually wired ports."""
-    _raise_first(topo, ["TOPO001"])
+    _raise_first(topo)
 
 
 def check_dual_tor(topo: Topology) -> None:
@@ -54,25 +45,6 @@ def check_dual_tor(topo: Topology) -> None:
     just the count, so an operator can walk to the right rack.
     """
     _raise_first(topo, ["TOPO002"])
-
-
-def check_dual_plane(topo: Topology) -> None:
-    """No link crosses planes above tier 1; NIC port k lands in plane k.
-
-    This is the physical-isolation property behind Figure 12b: traffic
-    entering plane 0 can only be delivered from plane 0.
-    """
-    _raise_first(topo, ["TOPO003"])
-
-
-def check_rail_optimized(topo: Topology) -> None:
-    """Within a segment, NICs of rail r across hosts share the same ToRs."""
-    _raise_first(topo, ["TOPO004"])
-
-
-def check_rail_isolation(topo: Topology) -> None:
-    """Rail-only: aggregation planes never mix rails."""
-    _raise_first(topo, ["TOPO005"])
 
 
 def oversubscription_report(topo: Topology) -> Dict[str, float]:
@@ -93,13 +65,3 @@ def oversubscription_report(topo: Topology) -> Dict[str, float]:
         if up_cap.get(role):
             report[role] = down_cap[role] / up_cap[role]
     return report
-
-
-def plane_of_path_nodes(topo: Topology, nodes: List[str]) -> set:
-    """Distinct planes touched by a list of switch names (None filtered)."""
-    planes = set()
-    for name in nodes:
-        sw = topo.switches.get(name)
-        if sw is not None and sw.plane is not None:
-            planes.add(sw.plane)
-    return planes

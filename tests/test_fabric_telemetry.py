@@ -1,5 +1,5 @@
-"""fabric.telemetry: dirlink loads (incl. the repeated-dirlink dedupe
-fix), port egress, imbalance summaries, and the obs-derived views."""
+"""fabric.telemetry: dirlink loads and uplink spread (incl. the
+repeated-dirlink dedupe), port egress and imbalance summaries."""
 
 from __future__ import annotations
 
@@ -108,3 +108,16 @@ class TestImbalanceSummaries:
         tor = flows[0].path.nodes[1]
         spread = uplink_spread(hpn_small, flows, tor)
         assert sum(spread) >= 1.0
+
+    def test_uplink_spread_counts_a_revisited_uplink_once(
+        self, hpn_small, hpn_router
+    ):
+        """Like dirlink_loads: a bent-back walk that crosses a ToR
+        uplink twice is still one flow on that uplink."""
+        f = _flow(hpn_small, hpn_router, "pod0/seg0/host0",
+                  "pod0/seg1/host0")
+        tor = f.path.nodes[1]
+        before = uplink_spread(hpn_small, [f], tor)
+        f.path.dirlinks.append(f.path.dirlinks[1])  # ToR -> agg again
+        assert uplink_spread(hpn_small, [f], tor) == before
+        assert sum(before) == 1.0

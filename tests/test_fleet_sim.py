@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 
 import pytest
 
 from repro import obs
 from repro.cluster import Cluster
+from repro.core.serialize import to_jsonable
+from repro.core.units import GB
+from repro.engine import get_experiment
+from repro.fabric import Flow, FluidSimulator
 from repro.fleet import (
     ArrivalSpec,
     FleetSimulator,
     FrontendTrafficSpec,
     JobArrival,
     build_classes,
+    first_solve_tier_util,
     generate_arrivals,
     run_churn,
-    tier_peak_utilization,
 )
+from repro.routing import FiveTuple, Router
 from repro.topos.spec import HpnSpec
 
 SMALL = HpnSpec(segments_per_pod=2, hosts_per_segment=8,
@@ -148,26 +155,59 @@ class TestSnapshots:
         )
         assert [c.kind for c in classes].count("checkpoint") == 0
 
-    def test_tier_peak_utilization_labels(self):
+    def test_first_solve_tier_util_is_first_link_util_sample(self):
         topo = small_cluster().topo
-        # load one host link and one tor->agg link to half capacity
-        host_dl = None
-        agg_dl = None
-        for link_id in sorted(topo.links):
-            link = topo.links[link_id]
-            in_switches = (link.a.node in topo.switches,
-                           link.b.node in topo.switches)
-            if host_dl is None and not all(in_switches):
-                host_dl = link.link_id * 2
-            if agg_dl is None and all(in_switches):
-                agg_dl = link.link_id * 2
-            if host_dl is not None and agg_dl is not None:
-                break
-        loads = {host_dl: topo.links[host_dl // 2].gbps / 2,
-                 agg_dl: topo.links[agg_dl // 2].gbps / 4}
-        util = tier_peak_utilization(topo, loads)
-        assert util["access"] == pytest.approx(0.5)
-        assert util["agg"] == pytest.approx(0.25)
+        router = Router(topo)
+        flows = []
+        for i in range(6):
+            # cross-segment, so both the access and the agg tier load;
+            # staggered sizes finish at different times (several solves)
+            a = topo.hosts[f"pod0/seg0/host{i}"].nic_for_rail(0)
+            b = topo.hosts[f"pod0/seg1/host{i % 2}"].nic_for_rail(0)
+            ft = FiveTuple(a.ip, b.ip, 49152 + i, 4791)
+            flows.append(Flow(ft, (i + 1) * GB, router.path_for(a, b, ft)))
+        rec = obs.Recorder()
+        sim = FluidSimulator(topo, recorder=rec)
+        sim.add_flows(flows)
+        tier_util = first_solve_tier_util(sim)
+        assert tier_util == {}
+        sim.run()
+        assert sim.on_solve is None  # the hook removed itself
+        assert list(tier_util) == ["access", "agg"]
+        for tier, util in tier_util.items():
+            samples = rec.metrics.gauge("link_util", tier=tier).samples
+            assert len(samples) > 1
+            assert util == round(samples[0][1], 6)
+        # the agg peak moves after the first solve, so a later one differs
+        agg = rec.metrics.gauge("link_util", tier="agg").samples
+        assert agg[0][1] != agg[-1][1]
+
+
+class TestGoldenPayloads:
+    """Three fleet payloads, byte for byte.
+
+    One sha256 per run of ``json.dumps(to_jsonable(payload),
+    sort_keys=True)``, recorded while snapshots still kept a dirlink
+    load map per solve and took the per-tier peaks of the first one,
+    before they read ``FluidSimulator.link_view()``. Between them the
+    runs hold 22 non-empty ``tier_util`` dicts, plus slowdowns, queue
+    waits and fragmentation, so a mismatch is a change in what a
+    snapshot measures.
+    """
+
+    @pytest.mark.parametrize("name, seed, params, digest", [
+        ("fleet.churn", 0, {},
+         "1da6ad6aea45d34d609acb4f8cdac7e540c1c199f74f0dcc512c3c7909d0a9ba"),
+        ("fleet.churn", 2, {"arch": "dcnplus", "snapshots": 6},
+         "da470a4f28271dc16c57e5792da1bc61366eeeb1de322fc47896df90282e9d93"),
+        ("fleet.interference", 0, {},
+         "0d66d496a71862c86ec2792c7e79dd2095f916f2f29b1bb0a1d640d03a5a0694"),
+    ], ids=["churn", "churn-dcnplus", "interference"])
+    def test_payload_bytes(self, name, seed, params, digest):
+        defn = get_experiment(name)
+        payload = defn.fn(dict(defn.defaults, **params), seed)
+        text = json.dumps(to_jsonable(payload), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestObservability:

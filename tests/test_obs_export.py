@@ -140,19 +140,19 @@ def test_validate_flags_malformed():
 def test_prometheus_round_trip_counters_and_gauges():
     rec = Recorder()
     rec.counter("health.samples").inc(7)
-    rec.gauge("health.tier_util", tier="agg").set(0.123456789012345)
-    rec.gauge("health.tier_util", tier="access").set(1.0)
+    rec.gauge("link_util", tier="agg").set(0.123456789012345)
+    rec.gauge("link_util", tier="access").set(1.0)
     text = prometheus_exposition(rec)
     parsed = parse_prometheus_text(text)
     assert parsed["health_samples"]["type"] == "counter"
     assert parsed["health_samples"]["samples"] == [
         ("health_samples", {}, 7.0)]
-    util = parsed["health_tier_util"]
+    util = parsed["link_util"]
     assert util["type"] == "gauge"
     # repr() serialization: the float survives exactly
     assert util["samples"] == [
-        ("health_tier_util", {"tier": "access"}, 1.0),
-        ("health_tier_util", {"tier": "agg"}, 0.123456789012345),
+        ("link_util", {"tier": "access"}, 1.0),
+        ("link_util", {"tier": "agg"}, 0.123456789012345),
     ]
 
 

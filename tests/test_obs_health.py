@@ -321,12 +321,12 @@ class TestMonitoredGoldenBytes:
 
     * the reference workload of ``solver_golden.json`` (seed 7, with
       its link flap), watched by a HealthEngine whose streak minimums
-      are 4 ms: 1,034 solves, 132 incidents, 156 series;
-    * ``health.scenario`` in faulty mode at seed 0: 59 series. Its
+      are 4 ms: 1,034 solves, 132 incidents, 155 series;
+    * ``health.scenario`` in faulty mode at seed 0: 57 series. Its
       flows cross ToR uplinks, so flow counts reach the polarization
       detector;
     * one seeded ``SolverEquivalence.random_case`` (an HPN case with a
-      link flap, 88 flows), sampled at every solve: 101 series. The
+      link flap, 88 flows), sampled at every solve: 100 series. The
       two runs above never put three flows of distinct non-zero rates
       on one link, and IEEE addition of two terms commutes, so only
       this run sees the order in which a link's load is summed.

@@ -264,25 +264,9 @@ class TestCollectiveInstrumentation:
 
 
 # ----------------------------------------------------------------------
-# derived fabric views + logger
+# logger
 # ----------------------------------------------------------------------
 class TestDerivedViews:
-    def test_record_fabric_metrics(self, hpn_small, hpn_router):
-        from repro.fabric import record_fabric_metrics
-
-        rec = Recorder()
-        flows = [_edge_flow(hpn_small, hpn_router, "pod0/seg0/host0",
-                            "pod0/seg1/host0", 0, GB)]
-        for f in flows:
-            f.rate_gbps = 100.0
-        record_fabric_metrics(rec, hpn_small, flows, ts_s=1.0)
-        series = {m.series for m in rec.metrics.series()}
-        assert "fabric.agg_ingress_gbps" in series
-        assert any(s.startswith("fabric.uplink_imbalance{switch=")
-                   for s in series)
-        assert any(s.startswith("fabric.jain_fairness{switch=")
-                   for s in series)
-
     def test_logger_mirrors_warnings_into_recorder(self):
         log = get_logger("test.obs")
         with recording() as rec:

@@ -530,7 +530,7 @@ def _check_view_against_walk(sim):
     (``float.hex``)."""
     view = sim._view
     index = sim._solver.index
-    loads, counts, utils, peaks = sim._walk_link_util()
+    loads, counts, utils, peaks = sim.link_view()
     got_loads, got_counts = {}, {}
     for dense, raw in enumerate(index.dirlinks):
         n = len(index.link_flows[dense])
