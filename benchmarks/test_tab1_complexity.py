@@ -9,7 +9,13 @@ topologies, and RePaC probing finds exactly that many disjoint paths.
 
 from conftest import report
 
-from repro.routing import Router, max_disjoint_paths, measured_complexity, table1
+from repro.routing import (
+    Router,
+    max_disjoint_paths,
+    measured_complexity,
+    shared_router,
+    table1,
+)
 from repro.topos import HpnSpec, build_hpn, table1_cards
 
 
@@ -34,19 +40,20 @@ def test_tab1_closed_form(benchmark):
 
 def test_tab1_measured_matches_closed_form(benchmark):
     """On a scaled HPN, DFS-enumerated equal paths == ToR fan-out, and
-    RePaC can realize all of them as disjoint connections."""
+    RePaC can realize all of them as disjoint connections.
+
+    The count runs through the production router (the topology's shared
+    ``CachedRouter``, which walks its FIB) and must equal the uncached
+    walker's."""
     spec = HpnSpec(
         segments_per_pod=2, hosts_per_segment=4,
         backup_hosts_per_segment=0, aggs_per_plane=6,
     )
     topo = build_hpn(spec)
-    router = Router(topo)
+    src, dst = "pod0/seg0/host0", "pod0/seg1/host0"
 
     measured = benchmark.pedantic(
-        measured_complexity,
-        args=(topo, "pod0/seg0/host0", "pod0/seg1/host0"),
-        kwargs={"router": router},
-        rounds=3, iterations=1,
+        measured_complexity, args=(topo, src, dst), rounds=3, iterations=1,
     )
     report(
         "Table 1 cross-check (scaled HPN, 6 aggs/plane)",
@@ -56,7 +63,10 @@ def test_tab1_measured_matches_closed_form(benchmark):
         ],
     )
     assert measured == spec.tor_uplinks
+    assert measured == measured_complexity(topo, src, dst, router=Router(topo))
 
-    a = topo.hosts["pod0/seg0/host0"].nic_for_rail(0)
-    b = topo.hosts["pod0/seg1/host0"].nic_for_rail(0)
-    assert max_disjoint_paths(router, a, b, plane=0, sport_span=2048) == spec.tor_uplinks
+    a = topo.hosts[src].nic_for_rail(0)
+    b = topo.hosts[dst].nic_for_rail(0)
+    assert max_disjoint_paths(
+        shared_router(topo), a, b, plane=0, sport_span=2048
+    ) == spec.tor_uplinks

@@ -18,9 +18,7 @@ from .telemetry import (
     dirlink_loads,
     imbalance_ratio,
     jain_fairness,
-    port_egress_gbps,
     tor_ports_towards_nic,
-    uplink_spread,
 )
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "imbalance_ratio",
     "jain_fairness",
     "max_min_rates",
-    "port_egress_gbps",
     "run_flows",
     "tor_ports_towards_nic",
-    "uplink_spread",
 ]

@@ -8,9 +8,9 @@ per-port traffic towards a NIC (Figure 13), aggregation-switch ingress
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
-from ..core.entities import PortKind, SwitchRole
+from ..core.entities import SwitchRole
 from ..core.topology import Topology
 from .flow import Flow
 
@@ -30,19 +30,6 @@ def dirlink_loads(flows: Iterable[Flow], use_rate: bool = True) -> Dict[int, flo
         for dl in dict.fromkeys(f.path.dirlinks):
             loads[dl] += weight
     return dict(loads)
-
-
-def port_egress_gbps(topo: Topology, flows: Iterable[Flow], node: str) -> Dict[int, float]:
-    """Egress rate per port index of ``node``."""
-    loads = dirlink_loads(flows)
-    out: Dict[int, float] = {}
-    for port in topo.ports[node]:
-        if port.link_id is None:
-            continue
-        link = topo.links[port.link_id]
-        direction = 0 if link.a.node == node else 1
-        out[port.ref.index] = loads.get(link.link_id * 2 + direction, 0.0)
-    return out
 
 
 def tor_ports_towards_nic(
@@ -86,25 +73,6 @@ def imbalance_ratio(values: Iterable[float]) -> float:
     if lo <= 0:
         return float("inf") if hi > 0 else 1.0
     return hi / lo
-
-
-def uplink_spread(topo: Topology, flows: Iterable[Flow], switch: str) -> List[float]:
-    """Flow count per uplink of a switch -- the raw ECMP spread.
-
-    A flow counts once per uplink, however often its path visits it, as
-    in :func:`dirlink_loads`.
-    """
-    counts: Dict[int, float] = defaultdict(float)
-    for f in flows:
-        for dl in dict.fromkeys(f.path.dirlinks):
-            link = topo.links[dl // 2]
-            src_node = link.a.node if dl % 2 == 0 else link.b.node
-            if src_node == switch:
-                port = topo.port(link.a if dl % 2 == 0 else link.b)
-                if port.kind is PortKind.UP:
-                    counts[port.ref.index] += 1
-    ups = [p.ref.index for p in topo.up_ports(switch)]
-    return [counts.get(i, 0.0) for i in ups]
 
 
 def jain_fairness(values: Iterable[float]) -> float:

@@ -10,16 +10,20 @@ byte-identical, including :class:`RoutingError` outcomes.
 
 Invalidation mirrors BGP /32 withdrawal scope. ``Topology.state_epoch``
 counts link up/down transitions; the cache keeps a reverse
-link -> cached-routes index and, on sync, drops exactly the entries
-whose *dependency set* includes a flapped link. A route's dependency
-set is every structural link examined while walking it -- the links it
-crosses, the other members of every ECMP candidate group it hashed
-over, and both endpoints' access legs. Examined (not merely traversed)
-links matter: a link coming back up grows a candidate set and shifts
-the ECMP index of flows that never touched it, and the preferred-plane
-fallback in ``path_for`` reads both NICs' leg states. Negative results
-(``RoutingError``) are cached with the dependencies examined before
-the walk failed, so a repair that could fix the route drops the entry.
+dependency -> cached-routes index and, on sync, drops exactly the
+entries that depend on a flapped link. A route depends on every
+structural link examined while walking it -- the links it crosses, the
+other members of every ECMP candidate group it hashed over, and both
+endpoints' access legs. Examined (not merely traversed) links matter:
+a link coming back up grows a candidate set and shifts the ECMP index
+of flows that never touched it, and the preferred-plane fallback in
+``path_for`` reads both NICs' leg states. A route is filed under one
+token per FIB group it examined plus its access-leg link ids, and a
+flapped link invalidates its own id plus the tokens of the groups that
+hold it (:meth:`Fib.dependents`), which drops exactly the routes that
+examined it. Negative results (``RoutingError``) are cached with the
+dependencies examined before the walk failed, so a repair that could
+fix the route drops the entry.
 
 A wiring change (``Topology.structure_epoch``) recompiles the FIB and
 flushes everything; ``fib.compiles`` counts those recompiles.
@@ -31,10 +35,10 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.entities import Nic
+from ..core.entities import Link, Nic
 from ..core.errors import RoutingError
 from ..core.topology import Topology
-from .ecmp import _MAX_HOPS, Router
+from .ecmp import _MAX_HOPS, AccessLeg, Router
 from .fib import Fib
 from .hashing import FiveTuple
 from .path import FlowPath, encode_dirlink
@@ -69,18 +73,18 @@ class RouteStats:
 
 
 class RouteCache:
-    """Generic memo with a reverse link -> entries invalidation index.
+    """Generic memo with a reverse dependency -> entries index.
 
-    Values are opaque; each entry carries the set of link ids it
-    depends on. ``invalidate_links`` drops every entry depending on any
-    of the given links and returns how many were dropped. The reverse
-    index is keyed by link id: ``Link.up`` flips both directions of a
-    full-duplex cable at once, so a link is the unit of invalidation.
+    Values are opaque; each entry carries the int keys it depends on:
+    link ids (``Link.up`` flips both directions of a full-duplex cable
+    at once, so a link is the unit of invalidation) or FIB group
+    tokens. ``invalidate_links`` drops every entry depending on any of
+    the given keys and returns how many were dropped.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[object, Tuple[object, Tuple[int, ...]]] = {}
-        self._by_link: Dict[int, Set[object]] = {}
+        self._by_dep: Dict[int, Set[object]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -96,13 +100,13 @@ class RouteCache:
             self._drop(key)
         dep_ids = tuple(deps)
         self._entries[key] = (value, dep_ids)
-        for link_id in dep_ids:
-            self._by_link.setdefault(link_id, set()).add(key)
+        for dep in dep_ids:
+            self._by_dep.setdefault(dep, set()).add(key)
 
-    def invalidate_links(self, link_ids: Iterable[int]) -> int:
+    def invalidate_links(self, deps: Iterable[int]) -> int:
         dropped = 0
-        for link_id in link_ids:
-            keys = self._by_link.get(link_id)
+        for dep in deps:
+            keys = self._by_dep.get(dep)
             if not keys:
                 continue
             for key in list(keys):
@@ -112,16 +116,16 @@ class RouteCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._by_link.clear()
+        self._by_dep.clear()
 
     def _drop(self, key: object) -> None:
         _value, dep_ids = self._entries.pop(key)
-        for link_id in dep_ids:
-            keys = self._by_link.get(link_id)
+        for dep in dep_ids:
+            keys = self._by_dep.get(dep)
             if keys is not None:
                 keys.discard(key)
                 if not keys:
-                    del self._by_link[link_id]
+                    del self._by_dep[dep]
 
 
 class CachedRouter(Router):
@@ -178,7 +182,10 @@ class CachedRouter(Router):
             return
         if self._state_cursor != topo.state_epoch:
             changed = topo.net_link_changes(self._state_cursor)
-            dropped = self._paths.invalidate_links(changed)
+            # paths depend on FIB groups too; plane sets on legs only
+            dropped = self._paths.invalidate_links(
+                self._fib.dependents(changed)
+            )
             dropped += self._planes.invalidate_links(changed)
             self.stats.invalidations += dropped
             if self._c_inval is not None and dropped:
@@ -187,7 +194,6 @@ class CachedRouter(Router):
 
     def invalidate_all(self) -> None:
         """Flush every cached route and recompile against the wiring."""
-        self._build_index()
         self._legs_memo.clear()
         self._legs_epoch = self.topo.structure_epoch
         self._fib = self._compile_fib()
@@ -390,7 +396,7 @@ class CachedRouter(Router):
                 raise RoutingError(
                     f"{cur} has no live candidate towards {dst_nic.name}"
                 )
-            port, link = self._select(
+            link = self._select(
                 entry.switch, candidates, ft, dst.pod, ingress_port_index
             )
             path.dirlinks.append(encode_dirlink(link, cur))
@@ -403,6 +409,19 @@ class CachedRouter(Router):
     def count_equal_paths(self, src_nic: Nic, dst_nic: Nic, plane: int = 0) -> int:
         self._sync()
         return super().count_equal_paths(src_nic, dst_nic, plane)
+
+    def _live_links(
+        self,
+        node: str,
+        dst,
+        dst_rail: int,
+        dst_by_tor: Dict[str, AccessLeg],
+    ) -> List[Link]:
+        """The DFS's hook: live candidates from the FIB, not the index."""
+        fib = self._fib
+        return fib.candidates(
+            fib.switches[node], dst, dst_rail, dst_by_tor, set()
+        )
 
 
 #: weak per-topology registry: ``id(topo) -> weakref to its router``.

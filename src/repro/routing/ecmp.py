@@ -27,7 +27,8 @@ The *pre*-convergence window (traffic still blackholed) is modeled by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core.entities import Link, Nic, Port, PortKind, Switch
 from ..core.errors import RoutingError
@@ -38,6 +39,9 @@ from .path import FlowPath, encode_dirlink
 
 #: safety bound on hop count (host-tor-agg-core-agg-tor-host = 6 links)
 _MAX_HOPS = 10
+
+#: one ECMP candidate: a ``(port, link)`` pair here, a link in the FIB
+_Candidate = TypeVar("_Candidate")
 
 
 @dataclass
@@ -66,30 +70,37 @@ class Router:
         #: >1 when the architecture physically isolates planes above tier 1
         self.planes: int = int(topo.meta.get("planes", 1))
         self.plane_isolated = self.planes > 1
-        # adjacency: node -> peer -> [(local port, link)]
-        self._adj: Dict[str, Dict[str, List[Tuple[Port, Link]]]] = {}
-        # up candidates per switch: [(port, link, peer)]
-        self._up: Dict[str, List[Tuple[Port, Link, str]]] = {}
         # per-NIC access-leg memo; legs are structural (usable reads
         # link.up live), so only a wiring change invalidates them
         self._legs_memo: Dict[Tuple[str, int], List[AccessLeg]] = {}
         self._legs_epoch: int = topo.structure_epoch
-        self._build_index()
 
     # ------------------------------------------------------------------
-    def _build_index(self) -> None:
-        for name in list(self.topo.hosts) + list(self.topo.switches):
+    # The walker's adjacency index, built from the wiring on first read.
+    # Only this uncached walker reads it: CachedRouter walks its FIB.
+    @cached_property
+    def _adj(self) -> Dict[str, Dict[str, List[Tuple[Port, Link]]]]:
+        """Per switch: peer -> ``[(local port, link)]``, in port order."""
+        adj: Dict[str, Dict[str, List[Tuple[Port, Link]]]] = {}
+        for name in self.topo.switches:
             peers: Dict[str, List[Tuple[Port, Link]]] = {}
             for port, link, peer in self.topo.neighbors(name):
                 peers.setdefault(peer, []).append((port, link))
-            self._adj[name] = peers
+            adj[name] = peers
+        return adj
+
+    @cached_property
+    def _up(self) -> Dict[str, List[Tuple[Port, Link, str]]]:
+        """Per switch: ``[(port, link, peer)]`` of its wired uplinks."""
+        up: Dict[str, List[Tuple[Port, Link, str]]] = {}
         for name in self.topo.switches:
             ups = []
             for port in self.topo.ports[name]:
                 if port.kind is PortKind.UP and port.link_id is not None:
                     link = self.topo.links[port.link_id]
                     ups.append((port, link, link.other(name).node))
-            self._up[name] = ups
+            up[name] = ups
+        return up
 
     # ------------------------------------------------------------------
     def access_legs(self, nic: Nic) -> List[AccessLeg]:
@@ -277,11 +288,11 @@ class Router:
     def _select(
         self,
         sw: Switch,
-        candidates: Sequence[Tuple[Port, Link]],
+        candidates: Sequence[_Candidate],
         ft: FiveTuple,
         dst_pod: int,
         ingress_port_index: int,
-    ) -> Tuple[Port, Link]:
+    ) -> _Candidate:
         if self._rec is not None:
             counter = self._hash_counters.get(sw.tier)
             if counter is None:
@@ -332,14 +343,26 @@ class Router:
                 return 1
             if depth > _MAX_HOPS:
                 return 0
-            sw = self.topo.switches[node]
             try:
-                cands = self._candidates(sw, dst, dst_nic.rail, dst_by_tor)
+                links = self._live_links(node, dst, dst_nic.rail, dst_by_tor)
             except RoutingError:
                 return 0
             total = 0
-            for _port, link in cands:
+            for link in links:
                 total += dfs(link.other(node).node, depth + 1)
             return total
 
         return sum(dfs(leg.tor, 0) for leg in legs)
+
+    def _live_links(
+        self,
+        node: str,
+        dst,
+        dst_rail: int,
+        dst_by_tor: Dict[str, AccessLeg],
+    ) -> List[Link]:
+        """Live candidate links at switch ``node`` (the DFS's hook)."""
+        pairs = self._candidates(
+            self.topo.switches[node], dst, dst_rail, dst_by_tor
+        )
+        return [link for _port, link in pairs]

@@ -349,8 +349,9 @@ def _router_rule_exempt(path: str) -> bool:
 @lint_rule("LINT006", "no direct Router construction outside routing",
            Severity.ERROR)
 class DirectRouterRule(LintRule):
-    """``Router(topo)`` at a call site builds a cold adjacency index and
-    throws away every cached route; use
+    """``CachedRouter(topo)`` at a call site pays a cold FIB compile,
+    ``Router(topo)`` re-derives every path uncached, and both throw away
+    the warm route cache; use
     ``repro.routing.shared_router(topo)`` so call sites share one
     compiled FIB and one warm route cache per topology. The routing
     package itself, tests and benchmarks are exempt."""

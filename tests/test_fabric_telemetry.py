@@ -1,5 +1,5 @@
-"""fabric.telemetry: dirlink loads and uplink spread (incl. the
-repeated-dirlink dedupe), port egress and imbalance summaries."""
+"""fabric.telemetry: dirlink loads (incl. the repeated-dirlink dedupe),
+NIC-facing port counters, aggregation ingress and imbalance summaries."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ from repro.fabric import (
     dirlink_loads,
     imbalance_ratio,
     jain_fairness,
-    port_egress_gbps,
     tor_ports_towards_nic,
-    uplink_spread,
 )
 from repro.routing import FiveTuple
 
@@ -61,13 +59,6 @@ class TestDirlinkLoads:
 
 
 class TestPortCounters:
-    def test_port_egress_matches_flow_rate(self, hpn_small, hpn_router):
-        f = _flow(hpn_small, hpn_router, "pod0/seg0/host0",
-                  "pod0/seg0/host1", rate=150.0)
-        tor = f.path.nodes[1]
-        egress = port_egress_gbps(hpn_small, [f], tor)
-        assert max(egress.values()) == pytest.approx(150.0)
-
     def test_tor_ports_towards_nic_keys_by_tor(self, hpn_small, hpn_router):
         f = _flow(hpn_small, hpn_router, "pod0/seg0/host0",
                   "pod0/seg0/host1", rate=120.0)
@@ -98,26 +89,3 @@ class TestImbalanceSummaries:
         assert jain_fairness([]) == 1.0
         assert jain_fairness([5.0, 5.0, 5.0]) == pytest.approx(1.0)
         assert jain_fairness([1.0, 0.0]) == pytest.approx(0.5)
-
-    def test_uplink_spread_sees_tor_uplinks(self, hpn_small, hpn_router):
-        flows = [
-            _flow(hpn_small, hpn_router, f"pod0/seg0/host{i}",
-                  f"pod0/seg1/host{i}", sport=50000 + i)
-            for i in range(4)
-        ]
-        tor = flows[0].path.nodes[1]
-        spread = uplink_spread(hpn_small, flows, tor)
-        assert sum(spread) >= 1.0
-
-    def test_uplink_spread_counts_a_revisited_uplink_once(
-        self, hpn_small, hpn_router
-    ):
-        """Like dirlink_loads: a bent-back walk that crosses a ToR
-        uplink twice is still one flow on that uplink."""
-        f = _flow(hpn_small, hpn_router, "pod0/seg0/host0",
-                  "pod0/seg1/host0")
-        tor = f.path.nodes[1]
-        before = uplink_spread(hpn_small, [f], tor)
-        f.path.dirlinks.append(f.path.dirlinks[1])  # ToR -> agg again
-        assert uplink_spread(hpn_small, [f], tor) == before
-        assert sum(before) == 1.0

@@ -10,9 +10,7 @@ from repro.fabric import (
     dirlink_loads,
     imbalance_ratio,
     jain_fairness,
-    port_egress_gbps,
     tor_ports_towards_nic,
-    uplink_spread,
 )
 from repro.fabric.simulator import max_min_rates
 from repro.routing import FiveTuple
@@ -141,18 +139,6 @@ class TestTelemetry:
         f = Flow(ft, GB, hpn_router.path_for(a, b, ft, plane=0))
         f.rate_gbps = 200.0
         assert agg_ingress_gbps(hpn_small, [f]) == 0.0
-
-    def test_port_egress_gbps(self, hpn_small, hpn_router):
-        flows = self._rated_flows(hpn_small, hpn_router)
-        tor = hpn_small.tors_of_host("pod0/seg1/host0")[0]
-        egress = port_egress_gbps(hpn_small, flows, tor)
-        assert sum(egress.values()) > 0
-
-    def test_uplink_spread_counts_flows(self, hpn_small, hpn_router):
-        flows = self._rated_flows(hpn_small, hpn_router)
-        # flows from seg1 plane0 hosts go up their rail-0 plane-0 ToR
-        spread = uplink_spread(hpn_small, flows, "pod0/seg1/tor-r0p0")
-        assert sum(spread) == 2.0  # plane-0 half of the 4 flows
 
     def test_imbalance_ratio(self):
         assert imbalance_ratio([100, 100]) == 1.0
