@@ -385,10 +385,18 @@ class FluidSimulator:
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> SimResult:
-        """Run until all flows complete (and events drain) or ``until``."""
-        if self.solver_mode == "full":
-            return self._run_full(until)
-        return self._run_incremental(until)
+        """Run until all flows complete (and events drain) or ``until``.
+
+        An attached health hub writes its pending hot-link samples as
+        the run returns, so the recording is complete between runs.
+        """
+        try:
+            if self.solver_mode == "full":
+                return self._run_full(until)
+            return self._run_incremental(until)
+        finally:
+            if self._hub is not None:
+                self._hub.flush_runs()
 
     # -- incremental engine --------------------------------------------
     def _run_incremental(self, until: Optional[float]) -> SimResult:

@@ -101,7 +101,7 @@ class StreakDetector:
 
     # ------------------------------------------------------------------
     def open_subjects(self) -> List[str]:
-        """Subjects with an open streak (hub re-feeds these each tick)."""
+        """Subjects with an open streak, sorted."""
         return sorted(self._open)
 
     def observe(self, now: float, subject: str, value: float) -> None:
@@ -116,6 +116,19 @@ class StreakDetector:
         elif streak is not None:
             del self._open[subject]
             self._close(subject, streak, now)
+
+    def observe_run(self, start_s: float, last_s: float, subject: str,
+                    value: float, samples: int) -> None:
+        """``samples`` observations of one above-threshold ``value``,
+        the first at ``start_s`` and the last at ``last_s``, in one
+        step: the streak :meth:`observe` would leave."""
+        streak = self._open.get(subject)
+        if streak is None:
+            self._open[subject] = _Streak(start_s, last_s, value, samples)
+        else:
+            streak.last_s = last_s
+            streak.peak = max(streak.peak, value)
+            streak.samples += samples
 
     def close_all(self, now: float) -> None:
         """End of timeline: flush every open streak as if it cleared."""

@@ -27,8 +27,8 @@ the full oracle engine and then the incremental engine. The oracle is
 runs on a 2-vCPU container), so the gate reads the health cost of the
 oracle engine, where it is lost in host noise (-10.7% to +7.9% vs
 enabled). On the incremental engine alone the same flows take
-82-90 / 154-167 / 267-328 ms off / enabled / health: +60% to +114% vs
-enabled.
+46-49 / 87-97 / 140-148 ms off / enabled / health: +53% to +64% vs
+enabled (docs/observability.md, "Overhead").
 """
 
 from __future__ import annotations

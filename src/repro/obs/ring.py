@@ -39,8 +39,19 @@ class RingBuffer:
                 self.rolled_off += 1
 
     def extend(self, items) -> None:
-        for item in items:
-            self.append(item)
+        """Append every item, then trim once: the same items and
+        ``rolled_off`` as one :meth:`append` per item."""
+        buf = self._items
+        added = len(buf)
+        buf.extend(items)
+        added = len(buf) - added
+        bound = self.max_entries
+        # like append(), the bound applies when an item arrives
+        if added and bound is not None and len(buf) > bound:
+            excess = len(buf) - bound
+            self.rolled_off += excess
+            for _ in range(excess):
+                buf.popleft()
 
     def clear(self) -> None:
         self._items.clear()

@@ -194,8 +194,7 @@ class CachedRouter(Router):
 
     def invalidate_all(self) -> None:
         """Flush every cached route and recompile against the wiring."""
-        self._legs_memo.clear()
-        self._legs_epoch = self.topo.structure_epoch
+        self._forget_wiring()
         self._fib = self._compile_fib()
         if self._c_compiles is not None:
             self._c_compiles.inc()

@@ -76,8 +76,9 @@ class Router:
         self._legs_epoch: int = topo.structure_epoch
 
     # ------------------------------------------------------------------
-    # The walker's adjacency index, built from the wiring on first read.
-    # Only this uncached walker reads it: CachedRouter walks its FIB.
+    # The walker's adjacency index, built from the wiring on first read
+    # after each wiring change. Only this uncached walker reads it:
+    # CachedRouter walks its FIB.
     @cached_property
     def _adj(self) -> Dict[str, Dict[str, List[Tuple[Port, Link]]]]:
         """Per switch: peer -> ``[(local port, link)]``, in port order."""
@@ -102,18 +103,27 @@ class Router:
             up[name] = ups
         return up
 
+    def _sync_wiring(self) -> None:
+        """Drop the leg memo and the adjacency index once
+        ``Topology.structure_epoch`` has moved: both capture wiring
+        only (usability reads ``link.up`` live), so link flaps keep
+        them. Every reader of either goes through this check."""
+        if self._legs_epoch != self.topo.structure_epoch:
+            self._forget_wiring()
+
+    def _forget_wiring(self) -> None:
+        self._legs_memo.clear()
+        self.__dict__.pop("_adj", None)
+        self.__dict__.pop("_up", None)
+        self._legs_epoch = self.topo.structure_epoch
+
     # ------------------------------------------------------------------
     def access_legs(self, nic: Nic) -> List[AccessLeg]:
         """The wired access legs of a NIC, indexed by NIC port.
 
-        Memoized per NIC: the leg list captures wiring only (whether a
-        leg is *usable* reads ``link.up`` at query time), so the memo
-        survives link flaps and is dropped only when
-        ``Topology.structure_epoch`` moves.
+        Memoized per NIC until the wiring changes (:meth:`_sync_wiring`).
         """
-        if self._legs_epoch != self.topo.structure_epoch:
-            self._legs_memo.clear()
-            self._legs_epoch = self.topo.structure_epoch
+        self._sync_wiring()
         key = (nic.host, nic.index)
         legs = self._legs_memo.get(key)
         if legs is not None:
@@ -243,6 +253,7 @@ class Router:
         dst_by_tor: Dict[str, AccessLeg],
     ) -> List[Tuple[Port, Link]]:
         """Live (port, link) options at ``sw`` towards the destination."""
+        self._sync_wiring()
         if sw.tier == 1:
             # rail-only fabrics cannot carry cross-rail traffic at all
             if (

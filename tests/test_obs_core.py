@@ -46,6 +46,30 @@ class TestRingBuffer:
         assert ring == [7, 8, 9, 10]
         assert ring.rolled_off == 7
 
+    @pytest.mark.parametrize("bound", [None, 0, 1, 3])
+    def test_extend_equals_appends(self, bound):
+        def both(build):
+            bulk, single = RingBuffer(bound), RingBuffer(bound)
+            build(bulk, lambda ring, items: ring.extend(iter(items)))
+            build(single, lambda ring, items: [ring.append(i) for i in items])
+            assert list(bulk) == list(single)
+            assert bulk.rolled_off == single.rolled_off
+            return bulk
+
+        def grow(ring, add):
+            add(ring, [])
+            add(ring, range(2))
+            add(ring, range(2, 7))
+            # a bound lowered between calls applies at the next item
+            ring.max_entries = 2 if bound is None else max(bound - 1, 0)
+            add(ring, [])
+            assert len(ring) == (7 if bound is None else bound)
+            add(ring, [7])
+            add(ring, range(8, 12))
+
+        ring = both(grow)
+        assert ring.rolled_off + len(ring) == 12
+
     def test_list_like_reads(self):
         ring = RingBuffer()
         ring.extend("abc")

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.obs.health import (
     replay,
 )
 from repro.obs.health.scenario import run_health_scenario
+from repro.obs.metrics import FRACTION_BUCKETS
 from repro.workloads.reference import build_reference_workload
 
 HEALTH_GOLDEN = Path(__file__).with_name("health_golden.json")
@@ -302,6 +304,156 @@ class TestReplay:
 
 
 # ----------------------------------------------------------------------
+# the dirty-set hub against one write per link per acted sample
+# ----------------------------------------------------------------------
+def _link_facts(topo, dl):
+    """(tier, plane, label, uplink ToR) of a directed link."""
+    link = topo.links[dl // 2]
+    a, b = (link.b.node, link.a.node) if dl % 2 else (link.a.node, link.b.node)
+    sa, sb = topo.switches.get(a), topo.switches.get(b)
+    planes = [sw.plane for sw in (sa, sb)
+              if sw is not None and sw.plane is not None]
+    tor = a if (sa is not None and sb is not None
+                and getattr(sa, "is_tor", False) and sb.tier == 2) else None
+    return (topo.link_tier(link.link_id),
+            str(planes[0]) if planes else None, f"{a}->{b}", tor)
+
+
+class _PerSampleHub:
+    """Reference sampler: walks every live link and writes every hot
+    link and every ToR at every acted sample, into its own engine."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.last_now = None
+
+    def sample(self, now, topo, utils, counts):
+        engine, cfg = self.engine, self.engine.config
+        m = engine.recorder.metrics
+        if self.last_now is not None and now < self.last_now - 1e-9:
+            for det in (engine.hotspot, engine.polarization, engine.drift):
+                det.close_all(self.last_now)
+        self.last_now = now
+        m.counter("health.samples").inc()
+        peaks, label_util, groups = {}, {}, {}
+        for dl in sorted(utils):
+            util = utils[dl]
+            tier, plane, label, tor = _link_facts(topo, dl)
+            label_util[label] = util
+            if plane is not None and util > peaks.get(plane, 0.0):
+                peaks[plane] = util
+            m.histogram("health.link_util_frac", buckets=FRACTION_BUCKETS,
+                        tier=tier).observe(util)
+            if tor is not None:
+                groups.setdefault(tor, {})[dl] = counts[dl]
+        for plane in sorted(peaks):
+            m.gauge("health.plane_util", plane=plane).set(
+                peaks[plane], ts_s=now)
+        hot = {label for label, util in label_util.items()
+               if util >= cfg.hotspot_util}
+        for label in sorted(hot | set(engine.hotspot.open_subjects())):
+            util = label_util.get(label, 0.0)
+            m.gauge("health.link_util", link=label).set(util, ts_s=now)
+            engine.hotspot.observe(now, label, util)
+        uplinks = {}
+        for link in topo.links.values():
+            for x, y in ((link.a.node, link.b.node),
+                         (link.b.node, link.a.node)):
+                sx, sy = topo.switches.get(x), topo.switches.get(y)
+                if (sx is not None and sy is not None
+                        and getattr(sx, "is_tor", False) and sy.tier == 2):
+                    uplinks[x] = uplinks.get(x, 0) + 1
+        tors = set(groups) | set(engine.polarization.open_subjects())
+        for tor in sorted(tors):
+            group = groups.get(tor, {})
+            total = sum(group.values())
+            share = 0.0
+            if (total >= cfg.polarization_min_flows
+                    and uplinks.get(tor, 0) >= cfg.polarization_min_links):
+                share = max(group.values()) / total
+            m.gauge("health.ecmp_spread", switch=tor).set(share, ts_s=now)
+            engine.polarization.observe(now, tor, share)
+
+
+class TestDirtySetHub:
+    """``SamplerHub`` writes an unchanged hot link once per run, not
+    once per sample, and keeps its membership from the changed links
+    only. Random link states over DCN+ (parallel ToR-agg links share a
+    label; ToR uplinks feed polarization) and a dual-plane HPN, with
+    clock resets, topology switches, a moved hotspot threshold and
+    capacity-less links holding flows, must leave the bytes and the
+    verdicts of the reference, at every flush point."""
+
+    @staticmethod
+    def _pool(rng, topo):
+        by_pair = {}
+        for link in topo.links.values():
+            by_pair.setdefault((link.a.node, link.b.node), []).append(
+                link.link_id)
+        parallel = [lid for lids in by_pair.values() if len(lids) > 1
+                    for lid in lids]
+        lids = sorted(topo.links)
+        picked = set(rng.sample(parallel, min(12, len(parallel))))
+        picked.update(rng.sample(lids, 16))
+        return sorted(2 * lid + d for lid in picked for d in (0, 1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_sample_writes(self, seed, dcn_small, hpn_small):
+        rng = random.Random(seed)
+        topos = [dcn_small, hpn_small]
+        pools = [self._pool(rng, topo) for topo in topos]
+        live, ref = (HealthEngine(Recorder()).configure(
+            hotspot_min_s=0.002, polarization_min_s=0.002,
+            polarization_min_flows=3) for _ in range(2))
+        reference = _PerSampleHub(ref)
+        which, now = 0, 0.0
+        utils, counts = {}, {}
+        values = (0.2, 0.5, 0.97, 0.98, 0.99, 1.0)
+
+        def same():
+            assert json.dumps(live.recorder.metrics.snapshot(),
+                              sort_keys=True) == json.dumps(
+                ref.recorder.metrics.snapshot(), sort_keys=True)
+            assert live.incidents == ref.incidents
+
+        for _step in range(400):
+            roll = rng.random()
+            if roll < 0.02:
+                which = 1 - which
+                utils.clear()
+                counts.clear()
+            elif roll < 0.04:
+                now = rng.uniform(0.0, now)
+            elif roll < 0.06:
+                threshold = rng.choice((0.97, 0.98, 0.99))
+                live.config.hotspot_util = threshold
+                ref.config.hotspot_util = threshold
+            elif roll < 0.12:
+                live.hub.flush_runs()
+                same()
+            for _ in range(rng.randrange(6)):
+                dl = rng.choice(pools[which])
+                if dl in utils and rng.random() < 0.3:
+                    del utils[dl]
+                    if rng.random() < 0.5:
+                        del counts[dl]  # else: flows on a dead link
+                else:
+                    utils[dl] = rng.choice(values)
+                    counts[dl] = rng.randrange(1, 5)
+            now += rng.choice((0.0, 0.001, 0.002))
+            sim = SimpleNamespace(now=now, topo=topos[which],
+                                  last_dirty_frac=None)
+            # the live dicts are handed over and then mutated in place,
+            # as the simulator's maintained link view does
+            live.hub.sample_fluid(sim, utils, counts)
+            reference.sample(now, topos[which], dict(utils), dict(counts))
+        live.finalize(now=reference.last_now)
+        ref.finalize(now=reference.last_now)
+        same()
+        assert len(live.incidents) > 10
+
+
+# ----------------------------------------------------------------------
 # golden bytes: every metric series of two monitored runs
 # ----------------------------------------------------------------------
 def _series_digests(snapshot):
@@ -310,6 +462,11 @@ def _series_digests(snapshot):
             json.dumps(body, sort_keys=True).encode()).hexdigest()
         for name, body in snapshot.items()
     }
+
+
+def _snapshot_digest(snapshot):
+    return hashlib.sha256(json.dumps(
+        _series_digests(snapshot), sort_keys=True).encode()).hexdigest()
 
 
 class TestMonitoredGoldenBytes:
@@ -348,24 +505,74 @@ class TestMonitoredGoldenBytes:
             f"{len(moved)} series moved: {moved[:8]}; "
             f"missing: {missing[:8]}; new: {new[:8]}")
 
-    def test_reference_workload(self):
+    @staticmethod
+    def _reference(seed_offset=0):
+        """A recorder with a 4 ms-streak engine attached, and a factory
+        of reference-workload simulators on it (a fresh topology each,
+        seeded ``seed + seed_offset``)."""
         case = json.loads(SOLVER_GOLDEN.read_text())["reference"]
-        topo, flows, events = build_reference_workload(
-            case["params"], case["seed"])
         rec = Recorder()
         engine = HealthEngine(rec).configure(
             hotspot_min_s=0.004, polarization_min_s=0.004).attach()
-        sim = FluidSimulator(topo, recorder=rec)
-        sim.add_flows(flows)
-        for t, lid, up in events:
-            sim.schedule(
-                t, lambda s, l=lid, u=up: s.topo.set_link_state(l, u))
+
+        def make_sim(offset=seed_offset):
+            topo, flows, events = build_reference_workload(
+                case["params"], case["seed"] + offset)
+            sim = FluidSimulator(topo, recorder=rec)
+            sim.add_flows(flows)
+            for t, lid, up in events:
+                sim.schedule(
+                    t, lambda s, l=lid, u=up: s.topo.set_link_state(l, u))
+            return sim
+
+        return rec, engine, make_sim
+
+    def test_reference_workload(self):
+        rec, engine, make_sim = self._reference()
+        sim = make_sim()
         sim.run()
+        # the link series are complete when run() returns, before any
+        # finalize() (which only closes streaks and adds the config)
+        want = json.loads(HEALTH_GOLDEN.read_text())["reference"]
+        link = {k: v for k, v in _series_digests(
+            rec.metrics.snapshot()).items()
+            if k.startswith("health.link_util{")}
+        assert link and link == {k: want[k] for k in link}
+        assert len(link) == sum(
+            k.startswith("health.link_util{") for k in want)
         report = engine.finalize()
         stats = sim._solver.stats
         assert stats.solves + stats.noop_solves == 1034
         assert len(report.incidents) == 132
         self._check("reference", rec.metrics.snapshot())
+
+    def test_reference_workload_in_chunks(self):
+        # run(until=...) returns with hot-link streaks open (16, then
+        # 20); the next chunk carries them on. Digest recorded from the
+        # hub that wrote every hot link at every acted sample.
+        rec, engine, make_sim = self._reference()
+        sim = make_sim()
+        open_at_return = []
+        for until in (0.017, 0.041, None):
+            sim.run(until=until)
+            open_at_return.append(len(engine.hotspot.open_subjects()))
+        assert open_at_return == [16, 20, 8]
+        assert len(engine.finalize().incidents) == 130
+        assert _snapshot_digest(rec.metrics.snapshot()) == (
+            "62100a82be474e47cbbd016693eafa4b003f80a195f6fa31908ddcc0bc2bad3b")
+
+    def test_second_simulator_restarts_the_clock(self):
+        # the second simulator (a fresh topology with the same link
+        # names) starts at t=0, so the hub closes the first one's 8
+        # open streaks at its last sample before taking the new clock
+        rec, engine, make_sim = self._reference()
+        make_sim().run(until=0.03)
+        assert len(engine.hotspot.open_subjects()) == 8
+        assert len(engine.incidents) == 94
+        make_sim(1).run()
+        assert len(engine.finalize().incidents) == 212
+        assert _snapshot_digest(rec.metrics.snapshot()) == (
+            "76a10c91becd200569ffe8c1d64ff5f24ffd9f9625d0ee0ea79eb43b6c9d9598")
 
     def test_health_scenario_faulty(self):
         with recording() as rec:

@@ -317,6 +317,36 @@ class TestAccessLegMemo:
         ]
 
 
+    def test_walker_index_follows_a_rewire(self, hpn_mutable):
+        # the oracle's adjacency index is wiring, like its legs: unplug
+        # a ToR uplink out of band and a router used before the rewire
+        # must route like a fresh one, never over the unplugged link
+        topo = hpn_mutable
+        router = Router(topo)
+        src0 = rail_nic(topo, "pod0/seg0/host0")
+        flows = []
+        for i in range(16):
+            src = rail_nic(topo, f"pod0/seg0/host{i % 4}")
+            dst = rail_nic(topo, f"pod0/seg1/host{(i + 1) % 4}")
+            flows.append((src, dst, make_ft(src, dst, 50000 + i)))
+        for src, dst, ft in flows:
+            router.path_for(src, dst, ft, 0)
+        tor = leg_for_plane(router, src0, 0).tor
+        _port, gone, _peer = router._up[tor][0]
+        del topo.links[gone.link_id]
+        topo.port(gone.a).link_id = None
+        topo.port(gone.b).link_id = None
+        topo.notify_structure_changed()
+        fresh, cached = Router(topo), CachedRouter(topo)
+        for src, dst, ft in flows:
+            got = outcome(router, src, dst, ft, 0)
+            assert got == outcome(fresh, src, dst, ft, 0)
+            assert got == outcome(cached, src, dst, ft, 0)
+            assert got[0] == "ok"
+            assert not {2 * gone.link_id, 2 * gone.link_id + 1} & set(got[2])
+        assert all(link is not gone for _p, link, _peer in router._up[tor])
+
+
 class TestBatchAndSharing:
     def test_route_many_matches_per_call(self, hpn_mutable):
         topo = hpn_mutable
