@@ -219,13 +219,14 @@ def bench_allreduce(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# solver equivalence: the incremental engine vs the full-solve oracle
+# solver equivalence: the simulator vs the from-scratch oracle
 # ----------------------------------------------------------------------
 @experiment(
     "solver.equivalence",
-    "Both rate engines over one seeded dual-plane multi-step AllReduce "
-    "with an injected link failure: every finish time must agree to "
-    "1e-9, and no flow may finish in one engine only",
+    "The simulator and the from-scratch reference loop over one seeded "
+    "dual-plane multi-step AllReduce with an injected link failure: "
+    "every finish time must agree to 1e-9, and no flow may finish on "
+    "one side only",
     defaults={
         "hosts": 16, "conns": 2, "steps": 80, "step_gap_s": 0.004,
         "edge_mb": 24, "jitter": 0.05, "fail_at_s": 0.05,
@@ -234,7 +235,7 @@ def bench_allreduce(params: Dict[str, Any], seed: int) -> Mapping[str, Any]:
 )
 def solver_equivalence(params: Dict[str, Any],
                        seed: int) -> Mapping[str, Any]:
-    from ..fabric.solver import SolverEquivalence
+    from ..fabric.oracle import SolverEquivalence
     from ..workloads.reference import build_reference_workload
 
     topo, flows, events = build_reference_workload(dict(params), seed)

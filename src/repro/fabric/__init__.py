@@ -5,14 +5,9 @@ from .incidence import IncidenceIndex
 from .kernel import ComponentSnapshot, build_snapshot, waterfill
 from .queues import QueueTracker
 from .replay import IterationReplay, NicSeries
-from .simulator import FluidSimulator, SimResult, max_min_rates, run_flows
-from .solver import (
-    EquivalenceReport,
-    IncrementalMaxMinSolver,
-    SolveOutcome,
-    SolverEquivalence,
-    SolverStats,
-)
+from .oracle import EquivalenceReport, SolverEquivalence, max_min_rates
+from .simulator import FluidSimulator, SimResult, run_flows
+from .solver import IncrementalMaxMinSolver, SolveOutcome, SolverStats
 from .telemetry import (
     agg_ingress_gbps,
     dirlink_loads,

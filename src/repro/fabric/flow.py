@@ -41,7 +41,7 @@ class Flow:
     _start_emitted: bool = field(init=False, default=False, repr=False,
                                  compare=False)
     #: sim time ``remaining_bytes`` was last materialized at -- the
-    #: incremental engine accounts progress lazily between rate changes
+    #: simulator accounts progress lazily between rate changes
     _progress_t: float = field(init=False, default=0.0, repr=False,
                                compare=False)
     #: completion-heap epoch: bumped on every rate change so stale heap

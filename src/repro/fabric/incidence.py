@@ -1,6 +1,6 @@
 """Persistent flow<->dirlink incidence for the incremental solver.
 
-The legacy solver (:func:`repro.fabric.simulator.max_min_rates`)
+The from-scratch oracle (:func:`repro.fabric.oracle.max_min_rates`)
 rebuilds a ``dirlink -> [flows]`` dict from scratch at every solve
 boundary -- O(flows x path length) of allocation and hashing even when
 a single flow finished. The :class:`IncidenceIndex` keeps that mapping

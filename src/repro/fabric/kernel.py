@@ -95,7 +95,7 @@ def waterfill(
 ) -> Tuple[List[float], int]:
     """Progressive filling; returns (rates aligned to flow_ids, iterations).
 
-    Mirrors the oracle :func:`repro.fabric.simulator.max_min_rates`
+    Mirrors the oracle :func:`repro.fabric.oracle.max_min_rates`
     step for step: flows crossing a dead link get 0, each iteration
     fixes the unfixed flows of the link offering the smallest fair
     share, and a link whose capacity runs out with flows still unfixed

@@ -10,25 +10,19 @@ measures: when ECMP lands k elephant flows on one 400G link, each gets
 
 The event loop advances simulation time between *flow completions* and
 externally scheduled events (failure injection, new flow batches),
-re-solving rates at each boundary. Two solver engines are available:
+re-solving rates at each boundary with the
+:class:`~repro.fabric.solver.IncrementalMaxMinSolver`: a persistent
+flow<->link incidence index, dirty-set re-solve of only the connected
+components an event touched (each filled on its own by
+:func:`~repro.fabric.kernel.waterfill`), a completion-time heap with
+lazy invalidation, and lazy per-flow progress accounting. Link failures
+reach it from the topology's link-state log, and with a recorder
+attached the per-link loads are maintained from the same dirty set. Per
+boundary this costs O(dirty component), not O(active flows).
 
-* ``solver="incremental"`` (default) -- the
-  :class:`~repro.fabric.solver.IncrementalMaxMinSolver`: a persistent
-  flow<->link incidence index, dirty-set re-solve of only the
-  connected components an event touched (each filled on its own by
-  :func:`~repro.fabric.kernel.waterfill`), a completion-time heap with
-  lazy invalidation, and lazy per-flow progress accounting. Link
-  failures reach it from the topology's link-state log, and with a
-  recorder attached the per-link loads are maintained from the same
-  dirty set. Per boundary this costs O(dirty component), not
-  O(active flows).
-* ``solver="full"`` -- the original from-scratch
-  :func:`max_min_rates` at every boundary. Kept as the
-  differential-testing oracle (see
-  :class:`~repro.fabric.solver.SolverEquivalence`), for checking
-  only.
-
-See ``docs/simulator.md`` for the architecture and complexity table.
+The from-scratch oracle it is checked against lives in
+:mod:`repro.fabric.oracle`. See ``docs/simulator.md`` for the
+architecture and complexity table.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -44,7 +37,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
@@ -60,97 +52,6 @@ from .solver import IncrementalMaxMinSolver, SolveOutcome
 
 #: numerical guard for "rate is zero"
 _EPS = 1e-12
-
-
-def max_min_rates(
-    flows: Iterable[Flow],
-    link_gbps: Callable[[int], float],
-    on_bottleneck: Optional[Callable[[int, float, int], None]] = None,
-) -> Dict[int, float]:
-    """Max-min fair rate (Gbps) per flow id.
-
-    ``link_gbps(dirlink)`` must return the capacity of a directed link;
-    returning 0 marks the link down (its flows get rate 0).
-    ``on_bottleneck(dirlink, fair_share_gbps, flows_fixed)`` fires once
-    per progressive-filling iteration, when that iteration's bottleneck
-    link saturates -- the hook the simulator's observability rides.
-
-    This is the from-scratch oracle; the event-driven simulator
-    defaults to the incremental engine in :mod:`repro.fabric.solver`,
-    which must (and is tested to) agree with this to 1e-9.
-    """
-    flows = list(flows)
-    link_flows: Dict[int, List[Flow]] = defaultdict(list)
-    for f in flows:
-        for dl in f.path.dirlinks:
-            link_flows[dl].append(f)
-
-    remaining_cap: Dict[int, float] = {}
-    unfixed_count: Dict[int, int] = {}
-    for dl, fl in link_flows.items():
-        remaining_cap[dl] = link_gbps(dl)
-        unfixed_count[dl] = len(fl)
-
-    rates: Dict[int, float] = {}
-    # flows through a dead link are immediately fixed at zero --
-    # per-flow-first-fix: each such flow is zeroed once and debited
-    # along its *own* path occurrences, so a flow crossing two dead
-    # links is not decremented twice on shared live links
-    dead_links = {dl for dl, cap in remaining_cap.items() if cap <= _EPS}
-    if dead_links:
-        for f in flows:
-            if f.flow_id in rates:
-                continue
-            if any(dl in dead_links for dl in f.path.dirlinks):
-                rates[f.flow_id] = 0.0
-                for dl in f.path.dirlinks:
-                    unfixed_count[dl] -= 1
-
-    active_links = {
-        dl for dl, n in unfixed_count.items() if n > 0 and remaining_cap[dl] > _EPS
-    }
-    while active_links:
-        # bottleneck: the link offering the smallest fair share; ties
-        # break on the smallest dirlink id so fixing order (and with it
-        # rates-dict insertion order and on_bottleneck callbacks) never
-        # depends on set iteration order
-        share, bottleneck = min(
-            ((remaining_cap[dl] / unfixed_count[dl], dl)
-             for dl in sorted(active_links)),
-            key=lambda t: t[0],
-        )
-        # link_flows lists a flow once per occurrence; fix it once
-        newly_fixed = list({
-            f.flow_id: f for f in link_flows[bottleneck]
-            if f.flow_id not in rates
-        }.values())
-        if on_bottleneck is not None:
-            on_bottleneck(bottleneck, share, len(newly_fixed))
-        for f in newly_fixed:
-            rates[f.flow_id] = share
-            for dl in f.path.dirlinks:
-                remaining_cap[dl] -= share
-                unfixed_count[dl] -= 1
-        drop = [
-            dl
-            for dl in sorted(active_links)
-            if unfixed_count[dl] <= 0 or remaining_cap[dl] <= _EPS
-        ]
-        for dl in drop:
-            if unfixed_count[dl] > 0:
-                # capacity exhausted with flows still unfixed: fix at ~0
-                for f in link_flows[dl]:
-                    rates.setdefault(f.flow_id, 0.0)
-            active_links.discard(dl)
-        # remove links whose flows were all fixed elsewhere
-        active_links = {
-            dl
-            for dl in sorted(active_links)
-            if unfixed_count[dl] > 0 and remaining_cap[dl] > _EPS
-        }
-    for f in flows:
-        rates.setdefault(f.flow_id, 0.0)
-    return rates
 
 
 @dataclass(order=True)
@@ -173,7 +74,7 @@ class _LinkView:
     and flow count, and per-tier peak utilization, kept current from
     each solve's dirty links.
 
-    The incremental engine keeps one when a recorder is attached.
+    The simulator keeps one when a recorder is attached.
     Arrays are indexed by the solver's dense link ids. A link's load is
     a left fold from 0.0 over its flows' committed rates in
     ``IncidenceIndex.link_flows`` order (activation order), one term
@@ -266,21 +167,13 @@ class _LinkView:
 
 
 class FluidSimulator:
-    """Event-driven fluid simulator over one topology.
-
-    ``solver`` selects the rate engine: ``"incremental"`` (default,
-    dirty-set re-solve over a persistent incidence index, one fill per
-    dirty connected component) or ``"full"`` (the original
-    per-boundary from-scratch :func:`max_min_rates`, kept as the test
-    oracle). See docs/simulator.md, "Solver engines".
+    """Event-driven fluid simulator over one topology: dirty-set
+    re-solve over a persistent incidence index, one fill per dirty
+    connected component. See docs/simulator.md.
     """
 
-    def __init__(self, topo: Topology, recorder=None,
-                 solver: str = "incremental"):
-        if solver not in ("incremental", "full"):
-            raise ValueError(f"unknown solver engine {solver!r}")
+    def __init__(self, topo: Topology, recorder=None):
         self.topo = topo
-        self.solver_mode = solver
         self.now = 0.0
         self._active: Dict[int, Flow] = {}
         self._events: List[_Event] = []
@@ -310,21 +203,19 @@ class FluidSimulator:
             self._m_rate_changes = m.counter("sim.rate_changes")
             self._m_kernel_iters = m.counter("sim.kernel_iters")
             self._g_link_util: Dict[str, Any] = {}
-        self._solver: Optional[IncrementalMaxMinSolver] = None
+        self._solver = IncrementalMaxMinSolver(
+            self.link_gbps,
+            on_bottleneck=(
+                self._record_bottleneck if self._rec is not None else None
+            ),
+        )
+        #: link-state log cursor: transitions before it have been
+        #: reported to the solver (links indexed later read fresh)
+        self._state_cursor = topo.state_epoch
         self._view: Optional[_LinkView] = None
-        if solver == "incremental":
-            self._solver = IncrementalMaxMinSolver(
-                self.link_gbps,
-                on_bottleneck=(
-                    self._record_bottleneck if self._rec is not None else None
-                ),
-            )
-            #: link-state log cursor: transitions before it have been
-            #: reported to the solver (links indexed later read fresh)
-            self._state_cursor = topo.state_epoch
-            if self._rec is not None:
-                self._view = _LinkView(topo, self._solver)
-                self._solver.on_filled = self._view.update
+        if self._rec is not None:
+            self._view = _LinkView(topo, self._solver)
+            self._solver.on_filled = self._view.update
         #: (predicted finish time, flow heap epoch, flow id) entries;
         #: stale entries (epoch mismatch / flow gone) are discarded
         #: lazily on peek -- no O(active) completion scans
@@ -335,16 +226,9 @@ class FluidSimulator:
         link = self.topo.links[dirlink // 2]
         return link.gbps if link.up else 0.0
 
-    def add_flow(self, flow: Flow) -> None:
-        """Inject a flow at ``flow.start_time`` (>= current time)."""
-        if flow.start_time < self.now - _EPS:
-            raise SimulationError(
-                f"flow {flow.flow_id} starts in the past ({flow.start_time} < {self.now})"
-            )
-        self.schedule(flow.start_time, lambda sim, f=flow: sim._activate(f))
-
     def add_flows(self, flows: Iterable[Flow]) -> None:
-        """Inject many flows, batching same-instant arrivals.
+        """Inject flows at their ``start_time`` (>= current time),
+        batching same-instant arrivals.
 
         Collective step boundaries emit hundreds of flows with one
         start time; scheduling one event per *batch* (instead of one
@@ -368,8 +252,7 @@ class FluidSimulator:
     def _activate(self, flow: Flow) -> None:
         self._active[flow.flow_id] = flow
         flow._progress_t = self.now
-        if self._solver is not None:
-            self._solver.activate(flow)
+        self._solver.activate(flow)
         if self._rec is not None and not flow._start_emitted:
             flow._start_emitted = True
             self._m_started.inc()
@@ -390,19 +273,8 @@ class FluidSimulator:
         An attached health hub writes its pending hot-link samples as
         the run returns, so the recording is complete between runs.
         """
-        try:
-            if self.solver_mode == "full":
-                return self._run_full(until)
-            return self._run_incremental(until)
-        finally:
-            if self._hub is not None:
-                self._hub.flush_runs()
-
-    # -- incremental engine --------------------------------------------
-    def _run_incremental(self, until: Optional[float]) -> SimResult:
         run_start_s = self.now
         solver = self._solver
-        assert solver is not None
         try:
             while self._events or self._active:
                 # release all events at the current frontier
@@ -420,10 +292,8 @@ class FluidSimulator:
                 self._report_link_changes()
                 outcome = solver.solve()
                 self._commit(outcome)
-                view = self._view
-                if view is not None:
-                    self._publish_link_util(
-                        view.peak, view.live_util, view.live_count)
+                if self._view is not None:
+                    self._publish_link_util(self._view)
                 if self.on_solve is not None:
                     self.on_solve(self, solver.rates)
 
@@ -439,12 +309,14 @@ class FluidSimulator:
                         "deadlock: active flows all have zero rate and no "
                         "future event can change that"
                     )
-                self._advance_incremental(dt)
+                self._advance(dt)
                 if until is not None and self.now >= until - _EPS:
                     break
                 self._pop_due_events()
         finally:
             self._materialize_active()
+            if self._hub is not None:
+                self._hub.flush_runs()
 
         if self._rec is not None:
             self._rec.events.span(
@@ -467,7 +339,6 @@ class FluidSimulator:
         if self._state_cursor == topo.state_epoch:
             return
         solver = self._solver
-        assert solver is not None
         for lid in topo.net_link_changes(self._state_cursor):
             solver.mark_link_dirty(2 * lid)
             solver.mark_link_dirty(2 * lid + 1)
@@ -497,9 +368,7 @@ class FluidSimulator:
                 self.last_dirty_frac = 0.0
         if not outcome.touched:
             return
-        solver = self._solver
-        assert solver is not None
-        rates = solver.rates
+        rates = self._solver.rates
         active = self._active
         heap = self._completion_heap
         now = self.now
@@ -546,7 +415,7 @@ class FluidSimulator:
             return finish - self.now
         return float("inf")
 
-    def _advance_incremental(self, dt: float) -> None:
+    def _advance(self, dt: float) -> None:
         """Advance time; complete exactly the flows the heap says."""
         self.now += dt
         now = self.now
@@ -568,8 +437,7 @@ class FluidSimulator:
             flow.finish_time = now
             self._flow_finish[fid] = now
             del active[fid]
-            if solver is not None:
-                solver.finish(flow)
+            solver.finish(flow)
             if rec is not None:
                 self._m_finished.inc()
                 rec.events.span(
@@ -581,9 +449,9 @@ class FluidSimulator:
     def _materialize_active(self) -> None:
         """Sync surviving flows' ``remaining_bytes`` to ``self.now``.
 
-        The incremental engine accounts progress lazily (a flow's
-        bytes are only materialized when its rate changes); callers
-        that inspect flows after/between runs get exact state.
+        Progress is accounted lazily (a flow's bytes are only
+        materialized when its rate changes); callers that inspect
+        flows after/between runs get exact state.
         """
         now = self.now
         for flow in self._active.values():
@@ -595,75 +463,6 @@ class FluidSimulator:
                 if flow.remaining_bytes < 0.0:
                     flow.remaining_bytes = 0.0
             flow._progress_t = now
-
-    # -- full (oracle) engine ------------------------------------------
-    def _run_full(self, until: Optional[float]) -> SimResult:
-        run_start_s = self.now
-        while self._events or self._active:
-            # release all events at the current frontier
-            next_event_time = self._events[0].time if self._events else None
-            if not self._active:
-                if next_event_time is None:
-                    break
-                if until is not None and next_event_time > until:
-                    self.now = until
-                    break
-                self.now = max(self.now, next_event_time)
-                self._pop_due_events()
-                continue
-
-            rates = max_min_rates(
-                self._active.values(), self.link_gbps,
-                on_bottleneck=(
-                    self._record_bottleneck if self._rec is not None else None
-                ),
-            )
-            if self._rec is not None:
-                self._m_solves.inc()
-                self._m_full_solves.inc()
-                self.last_dirty_frac = 1.0
-                for fid, flow in self._active.items():
-                    if abs(rates[fid] - flow.rate_gbps) > _EPS:
-                        self._m_rate_changes.inc()
-                        self._rec.events.instant(
-                            "flow.rate", self.now, track="flows",
-                            flow_id=fid, rate_gbps=rates[fid],
-                        )
-            for fid, flow in self._active.items():
-                flow.rate_gbps = rates[fid]
-            if self._rec is not None:
-                self._record_link_util()
-            if self.on_solve is not None:
-                self.on_solve(self, rates)
-
-            dt_complete = self._min_completion_dt()
-            candidates = [dt_complete]
-            if next_event_time is not None:
-                candidates.append(next_event_time - self.now)
-            if until is not None:
-                candidates.append(until - self.now)
-            dt = min(c for c in candidates if c is not None)
-            if dt < 0:
-                dt = 0.0
-            if dt == float("inf"):
-                raise SimulationError(
-                    "deadlock: active flows all have zero rate and no "
-                    "future event can change that"
-                )
-            self._advance(dt)
-            if until is not None and self.now >= until - _EPS:
-                break
-            self._pop_due_events()
-
-        if self._rec is not None:
-            self._rec.events.span(
-                "sim.run", run_start_s, self.now, track="sim",
-                flows_finished=len(self._flow_finish),
-            )
-        return SimResult(
-            finish_time=self.now,
-            flow_finish=dict(self._flow_finish),
-        )
 
     # ------------------------------------------------------------------
     def _record_bottleneck(self, dirlink: int, share_gbps: float,
@@ -689,10 +488,10 @@ class FluidSimulator:
         This is the one definition of measured link load: a
         measurement counts a flow **once per directed link**, however
         often its path visits that link; only the solver's debit counts
-        each visit. The full engine records ``link_util`` from this
-        walk, the incremental engine maintains the same values in its
-        :class:`_LinkView` (the tests compare the two bit for bit), and
-        fleet snapshots read their per-tier peaks from it.
+        each visit. With a recorder attached the simulator maintains
+        the same values in its :class:`_LinkView` (the tests compare
+        the two bit for bit), and fleet snapshots read their per-tier
+        peaks from this walk.
         """
         loads: Dict[int, float] = {}
         counts: Dict[int, int] = {}
@@ -712,15 +511,8 @@ class FluidSimulator:
                 peaks[tier] = util
         return loads, counts, utils, peaks
 
-    def _record_link_util(self) -> None:
-        """Full engine: record link utilization from a from-scratch walk."""
-        _loads, counts, utils, peaks = self.link_view()
-        self._publish_link_util(peaks, utils, counts)
-
-    def _publish_link_util(self, peaks: Mapping[str, float],
-                           utils: Mapping[int, float],
-                           counts: Mapping[int, int]) -> None:
-        """Record one solve's link utilization.
+    def _publish_link_util(self, view: _LinkView) -> None:
+        """Record one solve's link utilization from the maintained view.
 
         Sets ``link_util{tier}`` for every tier whose peak is above 0
         and, on an acted health sample (``hub.wants_sample()``), hands
@@ -728,6 +520,7 @@ class FluidSimulator:
         """
         now = self.now
         gauges = self._g_link_util
+        peaks = view.peak
         for tier in sorted(peaks):
             util = peaks[tier]
             if util > 0.0:
@@ -738,53 +531,26 @@ class FluidSimulator:
                 gauge.set(util, ts_s=now)
         hub = self._hub
         if hub is not None and hub.wants_sample():
-            hub.sample_fluid(self, utils, counts)
+            hub.sample_fluid(self, view.live_util, view.live_count)
 
     def oracle_drift(self) -> float:
         """Max |committed - oracle| rate (Gbps) over active flows.
 
-        One from-scratch :func:`max_min_rates` solve compared against
-        the rates the running engine last committed -- the health
-        engine's solver-drift spot check. Costs a full solve, so
-        callers decide how often (``HealthConfig.drift_check_every``).
+        One from-scratch :func:`~repro.fabric.oracle.max_min_rates`
+        solve compared against the rates the simulator last committed
+        -- the health engine's solver-drift spot check. Costs a full
+        solve, so callers decide how often
+        (``HealthConfig.drift_check_every``).
         """
         if not self._active:
             return 0.0
+        from .oracle import max_min_rates
+
         rates = max_min_rates(self._active.values(), self.link_gbps)
         worst = 0.0
         for fid in sorted(self._active):
             worst = max(worst, abs(self._active[fid].rate_gbps - rates[fid]))
         return worst
-
-    # ------------------------------------------------------------------
-    def _min_completion_dt(self) -> float:
-        """O(active) completion scan -- the full engine's original path
-        (the incremental engine uses :meth:`_next_completion_dt`)."""
-        best = float("inf")
-        for flow in self._active.values():
-            if flow.rate_gbps > _EPS:
-                dt = flow.remaining_bytes / gbps_to_bytes_per_sec(flow.rate_gbps)
-                best = min(best, dt)
-        return best
-
-    def _advance(self, dt: float) -> None:
-        self.now += dt
-        finished = []
-        for fid, flow in self._active.items():
-            flow.remaining_bytes -= gbps_to_bytes_per_sec(flow.rate_gbps) * dt
-            if flow.done:
-                flow.finish_time = self.now
-                self._flow_finish[fid] = self.now
-                finished.append(fid)
-                if self._rec is not None:
-                    self._m_finished.inc()
-                    self._rec.events.span(
-                        "flow", flow.start_time, self.now, track="flows",
-                        flow_id=fid, size_bytes=flow.size_bytes,
-                        tag=flow.tag,
-                    )
-        for fid in finished:
-            del self._active[fid]
 
     def _pop_due_events(self) -> None:
         while self._events and self._events[0].time <= self.now + _EPS:
@@ -794,13 +560,13 @@ class FluidSimulator:
     # ------------------------------------------------------------------
     @property
     def active_flows(self) -> List[Flow]:
-        if self.solver_mode == "incremental":
-            self._materialize_active()
+        self._materialize_active()
         return list(self._active.values())
 
 
-def run_flows(topo: Topology, flows: Iterable[Flow], **kwargs) -> SimResult:
+def run_flows(topo: Topology, flows: Iterable[Flow],
+              recorder=None) -> SimResult:
     """One-shot convenience: simulate a flow set to completion."""
-    sim = FluidSimulator(topo, **kwargs)
+    sim = FluidSimulator(topo, recorder=recorder)
     sim.add_flows(flows)
     return sim.run()

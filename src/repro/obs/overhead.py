@@ -22,13 +22,11 @@ timing keeps the gate robust to scheduler noise.
 
 ``--kind`` times another catalogue experiment. CI's health gate times
 ``solver.equivalence`` at ``hosts=8, steps=20``: 2,560 flows through
-the full oracle engine and then the incremental engine. The oracle is
-97-99% of that wall (6.4-8.9 s vs 0.08-0.17 s per run, min of 5, two
-runs on a 2-vCPU container), so the gate reads the health cost of the
-oracle engine, where it is lost in host noise (-10.7% to +7.9% vs
-enabled). On the incremental engine alone the same flows take
-46-49 / 87-97 / 140-148 ms off / enabled / health: +53% to +64% vs
-enabled (docs/observability.md, "Overhead").
+the oracle's unrecorded reference loop and then the simulator. The
+oracle is nearly all of that wall, so the gate divides the
+simulator's health cost by mostly unrecorded work. On the simulator
+alone the same flows take 46-49 / 87-97 / 140-148 ms off / enabled /
+health: +53% to +64% vs enabled (docs/observability.md, "Overhead").
 """
 
 from __future__ import annotations
@@ -143,7 +141,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--kind", default=DEFAULT_KIND,
                         help="experiment to time (e.g. "
                              "solver.equivalence, whose wall is nearly "
-                             "all the full oracle engine)")
+                             "all the oracle's unrecorded reference "
+                             "loop)")
     parser.add_argument("--job-hosts", type=int, default=None,
                         help="bench.allreduce job_hosts override")
     parser.add_argument("--size-mb", type=float, default=None,

@@ -1,8 +1,8 @@
 """Differential check of the cached router against the uncached walker.
 
 :class:`RoutingEquivalence` is a seeded randomized failure/repair
-campaign (same pattern as the solver's
-:class:`~repro.fabric.solver.SolverEquivalence`): the uncached
+campaign (same pattern as the simulator's
+:class:`~repro.fabric.oracle.SolverEquivalence`): the uncached
 hop-by-hop :class:`~repro.routing.ecmp.Router` is the oracle, and
 every query must produce a byte-identical ``FlowPath`` -- or the
 identical ``RoutingError`` message -- from the

@@ -3,9 +3,9 @@
 Each function returns the topology, a list of routed flows and a list
 of ``(time, link_id, up)`` link-state events (one access-link failure
 and its repair). Flows are reusable across runs via ``Flow.reset``.
-The differential checks drive them through both rate engines
-(:class:`~repro.fabric.solver.SolverEquivalence`), and the golden
-tests pin their finish times bit for bit.
+The differential checks drive them through the simulator and the
+from-scratch oracle (:class:`~repro.fabric.oracle.SolverEquivalence`),
+and the golden tests pin their finish times bit for bit.
 
 * :func:`build_reference_workload` -- one HPN segment: a dual-plane
   rail-optimized AllReduce driven for many collective steps, per-flow

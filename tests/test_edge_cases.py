@@ -156,7 +156,7 @@ class TestSimulatorBoundaries:
         link = flow.path.dirlinks[1] // 2
         hpn_mutable.set_link_state(link, False)
         sim = FluidSimulator(hpn_mutable)
-        sim.add_flow(flow)
+        sim.add_flows([flow])
         sim.schedule(1.0, lambda s: hpn_mutable.set_link_state(link, True))
         result = sim.run()
         assert result.finish_time == pytest.approx(1.0 + 0.04)

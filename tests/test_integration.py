@@ -72,7 +72,7 @@ class TestEndToEndTraining:
     def test_dp_sync_crosses_fewer_segments_on_hpn(self, hpn, dcn):
         """Figure 15b: HPN cuts cross-segment (aggregation) traffic."""
         from repro.fabric.telemetry import agg_ingress_gbps
-        from repro.fabric.simulator import max_min_rates
+        from repro.fabric.oracle import max_min_rates
 
         plan = ParallelismPlan(tp=8, pp=4, dp=4)
         h_hosts = [f"pod0/seg0/host{i}" for i in range(16)]

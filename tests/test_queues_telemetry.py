@@ -12,7 +12,7 @@ from repro.fabric import (
     jain_fairness,
     tor_ports_towards_nic,
 )
-from repro.fabric.simulator import max_min_rates
+from repro.fabric.oracle import max_min_rates
 from repro.routing import FiveTuple
 
 

@@ -105,12 +105,12 @@ class TestEventLoop:
         sim.now = 5.0
         f = _edge_flow(hpn_small, hpn_router, "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         with pytest.raises(SimulationError):
-            sim.add_flow(f)
+            sim.add_flows([f])
 
     def test_until_cuts_run_short(self, hpn_small, hpn_router):
         f = _edge_flow(hpn_small, hpn_router, "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         sim = FluidSimulator(hpn_small)
-        sim.add_flow(f)
+        sim.add_flows([f])
         result = sim.run(until=0.01)
         assert result.finish_time == pytest.approx(0.01)
         assert not f.done
@@ -122,7 +122,7 @@ class TestEventLoop:
         link_id = f.path.dirlinks[0] // 2
 
         sim = FluidSimulator(hpn_mutable)
-        sim.add_flow(f)
+        sim.add_flows([f])
         sim.schedule(0.02, lambda s: hpn_mutable.set_link_state(link_id, False))
         sim.schedule(0.10, lambda s: hpn_mutable.set_link_state(link_id, True))
         result = sim.run()
@@ -134,7 +134,7 @@ class TestEventLoop:
         f = _edge_flow(hpn_mutable, router, "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         hpn_mutable.set_link_state(f.path.dirlinks[0] // 2, False)
         sim = FluidSimulator(hpn_mutable)
-        sim.add_flow(f)
+        sim.add_flows([f])
         with pytest.raises(SimulationError):
             sim.run()
 

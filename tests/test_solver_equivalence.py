@@ -1,23 +1,27 @@
-"""Differential testing: the incremental engine vs the full-solve oracle.
+"""Differential testing: the simulator vs the from-scratch oracle.
 
-The legacy :func:`~repro.fabric.max_min_rates` is kept precisely so
-the incremental engine can be checked against it --
-:class:`~repro.fabric.SolverEquivalence` drives both through scripted
-event sequences and a seeded randomized campaign (HPN, rail-only, and
-single-ToR topologies, flow sets, failure scripts), asserting agreement
-to 1e-9. :class:`TestGoldenBytes` pins the engine's finish times bit
-for bit against recorded values.
+:mod:`repro.fabric.oracle` keeps :func:`~repro.fabric.max_min_rates`
+and a standalone reference event loop precisely so the simulator can
+be checked against them -- :class:`~repro.fabric.SolverEquivalence`
+drives both through scripted event sequences and a seeded randomized
+campaign (HPN, rail-only, and single-ToR topologies, flow sets, failure
+scripts), asserting agreement to 1e-9. :class:`TestGoldenBytes` pins
+the simulator's finish times bit for bit against recorded values.
 """
 
+import ast
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.units import GB, MB
 from repro.engine import Runner, get_experiment
 from repro.fabric import Flow, FluidSimulator, SolverEquivalence
 from repro.routing import FiveTuple
+from repro.staticcheck.semantics import ProjectIndex
 from repro.workloads.reference import (
     MULTIPOD_DEFAULTS,
     POD_DEFAULTS,
@@ -108,6 +112,47 @@ class TestRandomizedCampaign:
                             "max_rate_err", "max_finish_err", "failures",
                             "ok"}
         assert doc["ok"] is True
+
+
+class TestOracleIndependence:
+    def test_check_run_catches_a_dropped_arrival(self, monkeypatch):
+        """A simulator that loses the last flow of each same-instant
+        batch is caught: the reference loop shares no code with it."""
+        add_flows = FluidSimulator.add_flows
+
+        def drop_last_of_each_batch(sim, flows):
+            batches = {}
+            for f in flows:
+                batches.setdefault(f.start_time, []).append(f)
+            add_flows(sim, [f for batch in batches.values()
+                            for f in batch[:-1]])
+
+        monkeypatch.setattr(FluidSimulator, "add_flows",
+                            drop_last_of_each_batch)
+        topo, flows, events = SolverEquivalence.random_case(
+            random.Random(0))
+        report = SolverEquivalence().check_run(topo, flows, events)
+        one_sided = [msg for msg in report.failures
+                     if "finished on one side only" in msg]
+        assert one_sided, report.failures[:3]
+
+    def test_only_the_reexport_and_two_lazy_callers_import_it(self):
+        """No production path imports the oracle: only the package
+        re-export, the simulator's opt-in drift check and the
+        ``solver.equivalence`` experiment, the last two inside the
+        function that uses it."""
+        index = ProjectIndex(str(Path(repro.__file__).parent))
+        importers = sorted(
+            name for name, targets in index.import_graph.items()
+            if "repro.fabric.oracle" in targets)
+        assert importers == ["repro.engine.builtin", "repro.fabric",
+                             "repro.fabric.simulator"]
+        for name in ("repro.engine.builtin", "repro.fabric.simulator"):
+            assert not [
+                node for node in index.modules[name].tree.body
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("oracle")
+            ], f"{name} imports the oracle at module level"
 
 
 class TestGoldenBytes:

@@ -29,6 +29,7 @@ from repro.fabric import (
     run_flows,
     waterfill,
 )
+from repro.fabric.oracle import reference_finish_times
 from repro.obs import Recorder
 from repro.routing import FiveTuple, Router
 
@@ -334,12 +335,13 @@ class TestIncrementalSolver:
 
 # ======================================================================
 class TestIncrementalEngineLoop:
-    """The simulator's incremental event loop mirrors the legacy one."""
+    """The simulator's event loop agrees with the oracle's reference
+    loop."""
 
     def test_completion_time_of_one_flow(self, hpn_small, hpn_router):
         f = _edge_flow(hpn_small, hpn_router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
-        result = run_flows(hpn_small, [f], solver="incremental")
+        result = run_flows(hpn_small, [f])
         assert result.finish_time == pytest.approx(0.04)
         assert f.finish_time == pytest.approx(0.04)
 
@@ -352,13 +354,12 @@ class TestIncrementalEngineLoop:
         long = Flow(FiveTuple(a.ip, b.ip, 50001, 4791), GB,
                     hpn_router.path_for(
                         a, b, FiveTuple(a.ip, b.ip, 50001, 4791), plane=0))
-        result = run_flows(hpn_small, [short, long], solver="incremental")
-        oracle = run_flows(hpn_small, [short.reset() or short,
-                                       long.reset() or long], solver="full")
+        result = run_flows(hpn_small, [short, long])
+        oracle = reference_finish_times(hpn_small, [short, long])
         assert result.flow_finish[short.flow_id] == pytest.approx(
-            oracle.flow_finish[short.flow_id])
+            oracle[short.flow_id])
         assert result.flow_finish[long.flow_id] == pytest.approx(
-            oracle.flow_finish[long.flow_id])
+            oracle[long.flow_id])
 
     def test_batched_arrivals_one_solve(self, hpn_small, hpn_router):
         """Simultaneous arrivals cost one rate solve, not one each."""
@@ -368,7 +369,7 @@ class TestIncrementalEngineLoop:
                        sport=50000 + i)
             for i in range(4)
         ]
-        sim = FluidSimulator(hpn_small, solver="incremental")
+        sim = FluidSimulator(hpn_small)
         sim.add_flows(flows)
         sim.run()
         stats = sim._solver.stats
@@ -381,7 +382,7 @@ class TestIncrementalEngineLoop:
         f = _edge_flow(hpn_mutable, router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         link_id = f.path.dirlinks[0] // 2
-        sim = FluidSimulator(hpn_mutable, solver="incremental")
+        sim = FluidSimulator(hpn_mutable)
         sim.add_flows([f])
         # down for 10 ms mid-transfer: finish slides out by exactly that
         sim.schedule(0.01, lambda s: s.topo.set_link_state(link_id, False))
@@ -396,7 +397,7 @@ class TestIncrementalEngineLoop:
         f = _edge_flow(hpn_mutable, router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         link_id = f.path.dirlinks[0] // 2
-        sim = FluidSimulator(hpn_mutable, solver="incremental")
+        sim = FluidSimulator(hpn_mutable)
         sim.add_flows([f])
         sim.run(until=0.01)
         hpn_mutable.set_link_state(link_id, False)
@@ -416,17 +417,19 @@ class TestIncrementalEngineLoop:
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         tor = f.path.nodes[1]
         assert tor in hpn_mutable.switches
-        finish = {}
-        for mode in ("full", "incremental"):
-            f.reset()
-            sim = FluidSimulator(hpn_mutable, solver=mode)
-            sim.add_flows([f])
-            sim.schedule(0.01, lambda s: s.topo.fail_node(tor))
-            sim.schedule(0.02, lambda s: s.topo.recover_node(tor))
-            finish[mode] = sim.run().finish_time
-        assert finish["incremental"] == pytest.approx(0.05)
-        assert finish["incremental"] == pytest.approx(finish["full"],
-                                                      rel=1e-12)
+        tor_links = [port.link_id for port in hpn_mutable.ports[tor]
+                     if port.link_id is not None]
+        oracle = reference_finish_times(
+            hpn_mutable, [f],
+            [(0.01, lid, False) for lid in tor_links]
+            + [(0.02, lid, True) for lid in tor_links])
+        sim = FluidSimulator(hpn_mutable)
+        sim.add_flows([f])
+        sim.schedule(0.01, lambda s: s.topo.fail_node(tor))
+        sim.schedule(0.02, lambda s: s.topo.recover_node(tor))
+        finish = sim.run().finish_time
+        assert finish == pytest.approx(0.05)
+        assert finish == pytest.approx(oracle[f.flow_id], rel=1e-12)
 
     def test_transient_probe_in_event_resolves_nothing(self, hpn_mutable):
         """A what-if failure restored inside one event nets to no link
@@ -440,7 +443,7 @@ class TestIncrementalEngineLoop:
             with s.topo.transient_state():
                 s.topo.set_link_state(link_id, False)
 
-        sim = FluidSimulator(hpn_mutable, solver="incremental")
+        sim = FluidSimulator(hpn_mutable)
         sim.add_flows([f])
         sim.schedule(0.01, probe)
         result = sim.run()
@@ -458,7 +461,7 @@ class TestIncrementalEngineLoop:
         f = _edge_flow(hpn_mutable, router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         link_id = f.path.dirlinks[0] // 2
-        sim = FluidSimulator(hpn_mutable, solver="incremental")
+        sim = FluidSimulator(hpn_mutable)
         sim.schedule(0.0, lambda s: s.topo.set_link_state(link_id, False))
         sim.add_flows([f])
         sim.schedule(0.0, lambda s: s.topo.set_link_state(link_id, True))
@@ -471,7 +474,7 @@ class TestIncrementalEngineLoop:
         f = _edge_flow(hpn_mutable, router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         hpn_mutable.set_link_state(f.path.dirlinks[0] // 2, False)
-        sim = FluidSimulator(hpn_mutable, solver="incremental")
+        sim = FluidSimulator(hpn_mutable)
         sim.add_flows([f])
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run()
@@ -481,15 +484,11 @@ class TestIncrementalEngineLoop:
         """Lazy progress accounting is invisible to observers."""
         f = _edge_flow(hpn_small, hpn_router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
-        sim = FluidSimulator(hpn_small, solver="incremental")
+        sim = FluidSimulator(hpn_small)
         sim.add_flows([f])
         sim.run(until=0.02)  # halfway through the 40 ms transfer
         [live] = sim.active_flows
         assert live.remaining_bytes == pytest.approx(GB / 2, rel=1e-6)
-
-    def test_solver_mode_validated(self, hpn_small):
-        with pytest.raises(ValueError):
-            FluidSimulator(hpn_small, solver="quantum")
 
     def test_obs_counters_report_engine_mix(self, hpn_small, hpn_router):
         flows = [
@@ -500,7 +499,7 @@ class TestIncrementalEngineLoop:
                        sport=50001),
         ]
         rec = Recorder()
-        run_flows(hpn_small, flows, solver="incremental", recorder=rec)
+        run_flows(hpn_small, flows, recorder=rec)
         m = rec.metrics
         total = m.counter("sim.solves").value
         assert total > 0
@@ -549,10 +548,10 @@ def _check_view_against_walk(sim):
 
 
 class TestMaintainedLinkView:
-    """With a recorder attached, the incremental engine keeps per-link
-    load, flow count and per-tier peak current from each solve's dirty
-    links; after every solve they equal the from-scratch walk the full
-    engine records from."""
+    """With a recorder attached, the simulator keeps per-link load,
+    flow count and per-tier peak current from each solve's dirty
+    links; after every solve they equal the from-scratch walk,
+    ``FluidSimulator.link_view()``."""
 
     def test_matches_from_scratch_walk_after_every_solve(self):
         rng = random.Random(2024)
@@ -576,19 +575,6 @@ class TestMaintainedLinkView:
             flaps += bool(events)
         assert solves > 200 and flaps >= 5
 
-    def test_full_mode_keeps_the_walk(self, hpn_small, hpn_router):
-        """The full engine keeps no maintained view; it records from
-        the walk."""
-        f = _edge_flow(hpn_small, hpn_router,
-                       "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
-        rec = Recorder()
-        sim = FluidSimulator(hpn_small, recorder=rec, solver="full")
-        assert sim._view is None
-        sim.add_flows([f])
-        sim.run()
-        samples = rec.metrics.gauge("link_util", tier="access").samples
-        assert [v for _t, v in samples] == [1.0]
-
 
 # ======================================================================
 class TestSatelliteRegressions:
@@ -599,30 +585,26 @@ class TestSatelliteRegressions:
         f = _edge_flow(hpn_mutable, router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         link_id = f.path.dirlinks[0] // 2
-        for mode in ("full", "incremental"):
-            f.reset()
-            hpn_mutable.set_link_state(link_id, False)
-            sim = FluidSimulator(hpn_mutable, solver=mode)
-            sim.add_flows([f])
-            # the flow is stalled until the repair at t=1.0; until=0.5
-            # lands strictly before it
-            sim.schedule(1.0, lambda s: s.topo.set_link_state(link_id, True))
-            result = sim.run(until=0.5)
-            assert result.finish_time == pytest.approx(0.5)
-            assert f.flow_id not in result.flow_finish
-            hpn_mutable.set_link_state(link_id, True)
+        hpn_mutable.set_link_state(link_id, False)
+        sim = FluidSimulator(hpn_mutable)
+        sim.add_flows([f])
+        # the flow is stalled until the repair at t=1.0; until=0.5
+        # lands strictly before it
+        sim.schedule(1.0, lambda s: s.topo.set_link_state(link_id, True))
+        result = sim.run(until=0.5)
+        assert result.finish_time == pytest.approx(0.5)
+        assert f.flow_id not in result.flow_finish
+        hpn_mutable.set_link_state(link_id, True)
 
     def test_until_before_first_arrival(self, hpn_small, hpn_router):
         f = _edge_flow(hpn_small, hpn_router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB,
                        start_time=1.0)
-        for mode in ("full", "incremental"):
-            f.reset()
-            sim = FluidSimulator(hpn_small, solver=mode)
-            sim.add_flows([f])
-            result = sim.run(until=0.25)
-            assert result.finish_time == pytest.approx(0.25)
-            assert result.flow_finish == {}
+        sim = FluidSimulator(hpn_small)
+        sim.add_flows([f])
+        result = sim.run(until=0.25)
+        assert result.finish_time == pytest.approx(0.25)
+        assert result.flow_finish == {}
 
     def test_flow_start_emitted_once_across_reactivation(
             self, hpn_small, hpn_router):
@@ -631,9 +613,9 @@ class TestSatelliteRegressions:
         f = _edge_flow(hpn_small, hpn_router,
                        "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         rec = Recorder()
-        sim = FluidSimulator(hpn_small, recorder=rec, solver="full")
-        sim._activate(f)
-        sim._activate(f)  # same object, re-activated (replay pattern)
+        # same object, re-activated by a second simulator (replay pattern)
+        for _ in range(2):
+            FluidSimulator(hpn_small, recorder=rec)._activate(f)
         starts = [e for e in rec.events if e.name == "flow.start"]
         assert len(starts) == 1
         assert rec.metrics.counter("sim.flows_started").value == 1
