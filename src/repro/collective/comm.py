@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.errors import CollectiveError
 from ..core.topology import Topology
 from ..fabric.flow import Flow
-from ..routing.ecmp import Router
+from ..routing.cache import CachedRouter
 from .lb import (
     Connection,
     LeastLoadedPolicy,
@@ -48,7 +48,7 @@ class Communicator:
     def __init__(
         self,
         topo: Topology,
-        router: Router,
+        router: CachedRouter,
         hosts: Sequence[str],
         gpus_per_host: Optional[int] = None,
         profile: GpuBoxProfile = H800_BOX,

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.entities import Nic
 from ..core.errors import CollectiveError
-from ..routing.ecmp import Router
+from ..routing.cache import CachedRouter
 from ..routing.path import FlowPath
 from ..routing.repac import find_paths
 
@@ -53,7 +53,7 @@ class Connection:
 
 
 def establish_conns(
-    router: Router,
+    router: CachedRouter,
     src_nic: Nic,
     dst_nic: Nic,
     dport: int = 4791,
@@ -112,13 +112,9 @@ def establish_conns(
         requests.append(
             (src_nic, dst_nic, FiveTuple(src_nic.ip, dst_nic.ip, sport, dport), p)
         )
-    route_many = getattr(router, "route_many", None)
-    if route_many is not None:
-        paths = route_many(requests)
-    else:
-        paths = [router.path_for(s, d, ft, plane=p) for s, d, ft, p in requests]
     conns.extend(
-        Connection(sport=sport, path=path) for sport, path in zip(sports, paths)
+        Connection(sport=sport, path=path)
+        for sport, path in zip(sports, router.route_many(requests))
     )
     return conns
 

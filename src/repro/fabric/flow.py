@@ -54,10 +54,6 @@ class Flow:
             raise ValueError("flow size must be positive")
         self.remaining_bytes = float(self.size_bytes)
 
-    @property
-    def done(self) -> bool:
-        return self.remaining_bytes <= 1e-9
-
     def reset(self) -> None:
         """Rewind the flow for reuse across simulation runs."""
         self.remaining_bytes = float(self.size_bytes)

@@ -1,11 +1,14 @@
-"""Routing: hash family, ECMP walker, FIB + route cache, RePaC, complexity."""
+"""Routing: hash family, FIB + cached router, RePaC, complexity.
+
+``Router`` is the uncached oracle walker (:mod:`repro.routing.ecmp`),
+re-exported for tests and benchmarks; production code routes through
+``CachedRouter`` via :func:`shared_router`.
+"""
 
 from .cache import (
     CachedRouter,
     RouteCache,
     RouteStats,
-    active_shared_routers,
-    evict_shared_router,
     reset_shared_router,
     shared_router,
 )
@@ -16,8 +19,8 @@ from .complexity import (
     measured_complexity,
     table1,
 )
-from .ecmp import AccessLeg, Router
-from .fib import Fib, SwitchFib
+from .ecmp import Router
+from .fib import AccessLeg, Fib, SwitchFib
 from .hashing import (
     FiveTuple,
     ecmp_index,
@@ -46,8 +49,6 @@ __all__ = [
     "RouteStats",
     "Router",
     "SwitchFib",
-    "active_shared_routers",
-    "evict_shared_router",
     "reset_shared_router",
     "shared_router",
     "card_complexity",

@@ -1,12 +1,15 @@
-"""Epoch-invalidated route cache and the cached router.
+"""The production router: compiled FIB walk plus a precise route cache.
 
-:class:`CachedRouter` memoizes ``path_for`` / ``usable_planes`` results
-and walks flows over the compiled :class:`~repro.routing.fib.Fib`
-tables instead of re-deriving candidates from adjacency dicts. The
-uncached :class:`~repro.routing.ecmp.Router` walker is untouched and
-serves as the differential oracle (see
-:mod:`repro.routing.equivalence`): cached and uncached paths must be
-byte-identical, including :class:`RoutingError` outcomes.
+:class:`CachedRouter` is the router production code uses. It walks
+flows over the compiled :class:`~repro.routing.fib.Fib` -- its one
+snapshot of the wiring: switch tables, access legs and the structure
+epoch both were compiled at -- and memoizes ``path_for`` /
+``usable_planes`` results. Its differential oracle is the uncached
+hop-by-hop :class:`~repro.routing.ecmp.Router`, which shares no
+routing code with it (see
+:class:`~repro.routing.ecmp.RoutingEquivalence`): cached and uncached
+paths must be byte-identical, including :class:`RoutingError`
+outcomes.
 
 Invalidation mirrors BGP /32 withdrawal scope. ``Topology.state_epoch``
 counts link up/down transitions; the cache keeps a reverse
@@ -31,20 +34,22 @@ flushes everything; ``fib.compiles`` counts those recompiles.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.entities import Link, Nic
+from ..core.entities import Link, Nic, Switch
 from ..core.errors import RoutingError
 from ..core.topology import Topology
-from .ecmp import _MAX_HOPS, AccessLeg, Router
-from .fib import Fib
-from .hashing import FiveTuple
+from ..obs import resolve as _obs_resolve
+from .fib import AccessLeg, Fib
+from .hashing import FiveTuple, ecmp_index
 from .path import FlowPath, encode_dirlink
 
 #: one batch-routing request: (src NIC, dst NIC, five-tuple, preferred plane)
 RouteRequest = Tuple[Nic, Nic, FiveTuple, Optional[int]]
+
+#: safety bound on hop count (host-tor-agg-core-agg-tor-host = 6 links)
+_MAX_HOPS = 10
 
 _MISS = object()
 
@@ -59,12 +64,7 @@ class RouteStats:
     fib_compiles: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "fib_compiles": self.fib_compiles,
-        }
+        return asdict(self)
 
     @property
     def hit_rate(self) -> float:
@@ -85,9 +85,6 @@ class RouteCache:
     def __init__(self) -> None:
         self._entries: Dict[object, Tuple[object, Tuple[int, ...]]] = {}
         self._by_dep: Dict[int, Set[object]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get(self, key: object) -> object:
         entry = self._entries.get(key)
@@ -128,56 +125,64 @@ class RouteCache:
                     del self._by_dep[dep]
 
 
-class CachedRouter(Router):
-    """Router with compiled FIB tables and a precise route cache.
+class CachedRouter:
+    """The production router: compiled FIB tables and a precise route cache.
 
-    Drop-in for :class:`Router`: same constructor, same results
-    (byte-identical ``FlowPath``, identical ``RoutingError`` messages),
-    plus :meth:`route_many` for batch workloads and :attr:`stats` for
-    the cache counters. Obtain the per-topology instance via
-    :func:`shared_router` rather than constructing one per call site
-    (lint rule ``LINT006``).
+    ``path_for`` answers with the path a flow takes under the current
+    link state: byte-identical ``FlowPath`` and identical
+    ``RoutingError`` messages to the oracle
+    :class:`~repro.routing.ecmp.Router`. :meth:`route_many` routes a
+    batch, and :attr:`stats` holds the cache counters. Obtain the
+    per-topology instance via :func:`shared_router` rather than
+    constructing one per call site (lint rule ``LINT006``).
     """
 
     def __init__(self, topo: Topology, per_port_core_hash: bool = True,
                  recorder=None):
-        super().__init__(topo, per_port_core_hash, recorder)
+        self.topo = topo
+        self.per_port_core_hash = per_port_core_hash
+        #: whether the architecture physically isolates planes above tier 1
+        self.plane_isolated = int(topo.meta.get("planes", 1)) > 1
         self.stats = RouteStats()
         self._paths = RouteCache()
         self._planes = RouteCache()
-        self._state_cursor = topo.state_epoch
-        self._structure_cursor = topo.structure_epoch
-        self._fib = self._compile_fib()
+        # observability: cache counters, hash-decision counters per tier
+        self._rec = _obs_resolve(recorder)
+        self._hash_counters: Dict[int, object] = {}
         if self._rec is not None:
             m = self._rec.metrics
             self._c_hits = m.counter("route_cache.hits")
             self._c_misses = m.counter("route_cache.misses")
             self._c_inval = m.counter("route_cache.invalidations")
             self._c_compiles = m.counter("fib.compiles")
-            self._c_compiles.inc()
         else:
             self._c_hits = self._c_misses = None
             self._c_inval = self._c_compiles = None
+        self._fib = self._compile_fib()
+        self._state_cursor = topo.state_epoch
 
     # ------------------------------------------------------------------
     def _compile_fib(self) -> Fib:
         self.stats.fib_compiles += 1
+        if self._c_compiles is not None:
+            self._c_compiles.inc()
         return Fib(self.topo, self.plane_isolated)
 
     def _sync(self) -> None:
         """Bring compiled state up to the topology's epochs.
 
-        Invalidation is by *net* state change: every cached entry was
-        validated exactly at the cursor epoch (inserts happen right
-        after a sync, before any further transition), so a link that
-        toggled an even number of times inside the window is back in
-        the state the entry was computed under and the entry stays
-        valid. This is what makes ``Topology.transient_state``
-        fork-and-probe free for a warm router: a what-if failure plus
-        its restore nets out to zero transitions and drops nothing.
+        The FIB's ``structure_epoch`` is the wiring cursor. Invalidation
+        is by *net* state change: every cached entry was validated
+        exactly at the cursor epoch (inserts happen right after a sync,
+        before any further transition), so a link that toggled an even
+        number of times inside the window is back in the state the
+        entry was computed under and the entry stays valid. This is
+        what makes ``Topology.transient_state`` fork-and-probe free for
+        a warm router: a what-if failure plus its restore nets out to
+        zero transitions and drops nothing.
         """
         topo = self.topo
-        if self._structure_cursor != topo.structure_epoch:
+        if self._fib.structure_epoch != topo.structure_epoch:
             self.invalidate_all()
             return
         if self._state_cursor != topo.state_epoch:
@@ -194,13 +199,9 @@ class CachedRouter(Router):
 
     def invalidate_all(self) -> None:
         """Flush every cached route and recompile against the wiring."""
-        self._forget_wiring()
         self._fib = self._compile_fib()
-        if self._c_compiles is not None:
-            self._c_compiles.inc()
         self._paths.clear()
         self._planes.clear()
-        self._structure_cursor = self.topo.structure_epoch
         self._state_cursor = self.topo.state_epoch
 
     # ------------------------------------------------------------------
@@ -214,11 +215,16 @@ class CachedRouter(Router):
         if self._c_misses is not None:
             self._c_misses.inc()
 
-    def _leg_deps(self, nic: Nic) -> List[int]:
-        return [leg.link.link_id for leg in self.access_legs(nic)]
-
     # ------------------------------------------------------------------
+    def access_legs(self, nic: Nic) -> List[AccessLeg]:
+        """The wired access legs of a NIC, in NIC port order, from the
+        FIB; a rewiring recompiles it, a link flap drops nothing."""
+        if self._fib.structure_epoch != self.topo.structure_epoch:
+            self.invalidate_all()
+        return self._fib.access_legs(nic)
+
     def usable_planes(self, src_nic: Nic, dst_nic: Nic) -> List[int]:
+        """NIC port indices that currently yield a deliverable path."""
         self._sync()
         key = (src_nic.host, src_nic.index, dst_nic.host, dst_nic.index)
         cached = self._planes.get(key)
@@ -226,10 +232,30 @@ class CachedRouter(Router):
             self._hit()
             return list(cached)  # type: ignore[arg-type]
         self._miss()
-        out = super().usable_planes(src_nic, dst_nic)
-        deps = self._leg_deps(src_nic) + self._leg_deps(dst_nic)
+        deps: Set[int] = set()
+        out = self._resolve_planes(src_nic, dst_nic, deps)
         self._planes.put(key, tuple(out), deps)
         return out
+
+    def _resolve_planes(self, src_nic: Nic, dst_nic: Nic,
+                        deps: Set[int]) -> List[int]:
+        """Usable NIC port indices, adding both NICs' legs to ``deps``.
+
+        In plane-isolated architectures both endpoints must use the same
+        port index; otherwise the source leg only needs a live uplink
+        side while the destination side is resolved mid-network.
+        """
+        src_legs = self._fib.access_legs(src_nic)
+        dst_legs = self._fib.access_legs(dst_nic)
+        deps.update(leg.link.link_id for leg in src_legs)
+        deps.update(leg.link.link_id for leg in dst_legs)
+        if self.plane_isolated:
+            live_dst = {leg.port_index for leg in dst_legs if leg.usable}
+            return [leg.port_index for leg in src_legs
+                    if leg.usable and leg.port_index in live_dst]
+        if any(leg.usable for leg in dst_legs):
+            return [leg.port_index for leg in src_legs if leg.usable]
+        return []
 
     # ------------------------------------------------------------------
     def path_for(
@@ -239,6 +265,13 @@ class CachedRouter(Router):
         ft: FiveTuple,
         plane: Optional[int] = None,
     ) -> FlowPath:
+        """Compute the path a flow takes, honoring current link state.
+
+        ``plane`` is the *preferred* source NIC port; if the preferred
+        plane cannot deliver (failure), the other one is used -- the
+        dual-ToR failover. Raises :class:`RoutingError` when the
+        destination is unreachable.
+        """
         self._sync()
         outcome, payload = self._resolve_synced(src_nic, dst_nic, ft, plane)
         if outcome == "err":
@@ -321,9 +354,7 @@ class CachedRouter(Router):
             raise RoutingError("intra-host traffic rides NVLink, not the fabric")
         # the resolved plane reads both endpoints' leg states, so every
         # access leg is a dependency even when the walk never uses it
-        deps.update(self._leg_deps(src_nic))
-        deps.update(self._leg_deps(dst_nic))
-        usable = super().usable_planes(src_nic, dst_nic)
+        usable = self._resolve_planes(src_nic, dst_nic, deps)
         if not usable:
             raise RoutingError(
                 f"no usable plane from {src_nic.name} to {dst_nic.name}"
@@ -352,7 +383,7 @@ class CachedRouter(Router):
         dst_rail = dst_nic.rail
 
         dst_by_tor = {
-            leg.tor: leg for leg in self.access_legs(dst_nic) if leg.usable
+            leg.tor: leg for leg in fib.access_legs(dst_nic) if leg.usable
         }
         if not dst_by_tor:
             raise RoutingError(f"{dst_nic.name} has no live access link")
@@ -367,7 +398,7 @@ class CachedRouter(Router):
                 )
 
         src_leg = next(
-            (l for l in self.access_legs(src_nic)
+            (l for l in fib.access_legs(src_nic)
              if l.port_index == plane and l.usable),
             None,
         )
@@ -404,48 +435,77 @@ class CachedRouter(Router):
             ingress_port_index = self._far_port_index(link, cur)
         raise RoutingError("hop limit exceeded (routing loop?)")
 
+    def _select(
+        self,
+        sw: Switch,
+        candidates: Sequence[Link],
+        ft: FiveTuple,
+        dst_pod: int,
+        ingress_port_index: int,
+    ) -> Link:
+        """The ECMP hash pick at ``sw`` among live ``candidates``."""
+        if self._rec is not None:
+            counter = self._hash_counters.get(sw.tier)
+            if counter is None:
+                counter = self._rec.metrics.counter(
+                    "ecmp.hash_decisions", tier=str(sw.tier)
+                )
+                self._hash_counters[sw.tier] = counter
+            counter.inc()
+        if sw.tier == 3 and self.per_port_core_hash:
+            # section 7: egress is a function of (ingress port, dst pod)
+            # only -- 5-tuple irrelevant -- which kills core polarization.
+            return candidates[(ingress_port_index + dst_pod) % len(candidates)]
+        return candidates[ecmp_index(ft, sw.hash_seed, len(candidates))]
+
+    @staticmethod
+    def _far_port_index(link: Link, node: str) -> int:
+        """Index of the port on ``node``'s side of ``link``."""
+        if link.a.node == node:
+            return link.a.index
+        return link.b.index
+
     # ------------------------------------------------------------------
     def count_equal_paths(self, src_nic: Nic, dst_nic: Nic, plane: int = 0) -> int:
+        """Number of distinct up/down paths available to one flow.
+
+        This is the search space an ideal path-selection scheme must
+        explore (paper Table 1): the product of candidate-set sizes at
+        every hash stage, enumerated by DFS over the FIB's live
+        candidates.
+        """
         self._sync()
-        return super().count_equal_paths(src_nic, dst_nic, plane)
-
-    def _live_links(
-        self,
-        node: str,
-        dst,
-        dst_rail: int,
-        dst_by_tor: Dict[str, AccessLeg],
-    ) -> List[Link]:
-        """The DFS's hook: live candidates from the FIB, not the index."""
         fib = self._fib
-        return fib.candidates(
-            fib.switches[node], dst, dst_rail, dst_by_tor, set()
-        )
+        dst = self.topo.hosts[dst_nic.host]
+        dst_by_tor = {
+            leg.tor: leg for leg in fib.access_legs(dst_nic) if leg.usable
+        }
+        if self.plane_isolated:
+            dst_by_tor = {
+                t: l for t, l in dst_by_tor.items() if l.port_index == plane
+            }
+        legs = [
+            l for l in fib.access_legs(src_nic)
+            if l.port_index == plane and l.usable
+        ]
+        if not legs or not dst_by_tor:
+            return 0
+        unused: Set[int] = set()
 
+        def dfs(node: str, depth: int) -> int:
+            if node in dst_by_tor:
+                return 1
+            if depth > _MAX_HOPS:
+                return 0
+            try:
+                links = fib.candidates(
+                    fib.switches[node], dst, dst_nic.rail, dst_by_tor, unused
+                )
+            except RoutingError:
+                return 0
+            return sum(dfs(link.other(node).node, depth + 1) for link in links)
 
-#: weak per-topology registry: ``id(topo) -> weakref to its router``.
-#: The registry itself never extends a router's (or topology's)
-#: lifetime -- the strong reference lives on the topology object, so a
-#: router dies exactly when its topology does (or on explicit
-#: eviction). A ``weakref.finalize`` on each router scrubs its key, so
-#: long-lived daemons that churn through topologies never accumulate
-#: entries for dead ones.
-_ROUTER_REGISTRY: Dict[int, "weakref.ref[CachedRouter]"] = {}
-
-
-def _install_router(topo: Topology, router: CachedRouter) -> CachedRouter:
-    key = id(topo)
-    topo._shared_router = router  # type: ignore[attr-defined]
-    _ROUTER_REGISTRY[key] = weakref.ref(router)
-
-    def _scrub(reg_key: int = key, ref: "weakref.ref[CachedRouter]" = _ROUTER_REGISTRY[key]) -> None:
-        # only drop the key if it still points at *this* router: the id
-        # may have been recycled by a new topology in the meantime
-        if _ROUTER_REGISTRY.get(reg_key) is ref:
-            del _ROUTER_REGISTRY[reg_key]
-
-    weakref.finalize(router, _scrub)
-    return router
+        return sum(dfs(leg.tor, 0) for leg in legs)
 
 
 def shared_router(
@@ -455,9 +515,9 @@ def shared_router(
 ) -> CachedRouter:
     """The per-topology :class:`CachedRouter`, created on first use.
 
-    All call sites that previously built a throwaway ``Router(topo)``
-    share one cached instance (and therefore one warm cache) through
-    this accessor; a new topology object gets a new router. The
+    Call sites share one cached instance (and therefore one warm cache)
+    through this accessor. The router lives on the topology object, so
+    it dies with it; a new topology object gets a new router. The
     ``recorder`` only takes effect when this call constructs the
     router (an existing warm router keeps its recorder).
     """
@@ -467,9 +527,7 @@ def shared_router(
         or router.topo is not topo
         or router.per_port_core_hash != per_port_core_hash
     ):
-        router = _install_router(
-            topo, CachedRouter(topo, per_port_core_hash, recorder)
-        )
+        router = reset_shared_router(topo, per_port_core_hash, recorder)
     return router
 
 
@@ -479,37 +537,6 @@ def reset_shared_router(
     recorder=None,
 ) -> CachedRouter:
     """Discard the shared router and install a fresh (cold) one."""
-    return _install_router(
-        topo, CachedRouter(topo, per_port_core_hash, recorder)
-    )
-
-
-def evict_shared_router(topo: Topology) -> bool:
-    """Drop ``topo``'s shared router (and its caches) without replacing it.
-
-    Returns whether a router was installed. Long-lived processes that
-    unload a topology but keep the object alive (serve daemons swapping
-    fabrics in and out) call this so the dead fabric's compiled FIB and
-    route cache are freed immediately instead of riding along until the
-    topology itself is collected.
-    """
-    router = getattr(topo, "_shared_router", None)
-    had = isinstance(router, CachedRouter) and router.topo is topo
-    if hasattr(topo, "_shared_router"):
-        del topo._shared_router  # type: ignore[attr-defined]
-    _ROUTER_REGISTRY.pop(id(topo), None)
-    return had
-
-
-def active_shared_routers() -> List[CachedRouter]:
-    """Every live shared router, for introspection (daemon ``/stats``).
-
-    Dead weakrefs are skipped (their finalizers scrub the keys); the
-    returned list holds strong references, so don't keep it around.
-    """
-    out: List[CachedRouter] = []
-    for ref in list(_ROUTER_REGISTRY.values()):
-        router = ref()
-        if router is not None:
-            out.append(router)
-    return out
+    router = CachedRouter(topo, per_port_core_hash, recorder)
+    topo._shared_router = router  # type: ignore[attr-defined]
+    return router

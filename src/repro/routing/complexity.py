@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from ..core.topology import Topology
 from ..topos.spec import ArchitectureCard
-from .ecmp import Router
+from .cache import CachedRouter, shared_router
 
 
 @dataclass
@@ -65,12 +65,10 @@ def measured_complexity(
     dst_host: str,
     rail: int = 0,
     plane: int = 0,
-    router: Optional[Router] = None,
+    router: Optional[CachedRouter] = None,
 ) -> int:
     """Count distinct equal-cost paths between two hosts' rail NICs."""
     if router is None:
-        from .cache import shared_router
-
         router = shared_router(topo)
     src = topo.hosts[src_host]
     dst = topo.hosts[dst_host]

@@ -1,7 +1,9 @@
-"""Up/down ECMP routing over Clos-family topologies.
+"""The routing oracle: an uncached up/down ECMP walker and its campaign.
 
-The :class:`Router` walks a flow hop by hop, exactly as the deployed
-network forwards it:
+Production code routes through :class:`~repro.routing.cache.CachedRouter`.
+The :class:`Router` here shares no routing code with it and walks a
+flow hop by hop from the raw wiring, exactly as the deployed network
+forwards it:
 
 * at the source host, the flow egresses one NIC port -- this fixes the
   *plane* in HPN (the dual-plane property: the plane chosen at the NIC
@@ -22,51 +24,34 @@ the BGP-converged state: a withdrawn /32 removes the dead ToR from the
 down candidates, and a dead plane pushes the flow to the other NIC port.
 The *pre*-convergence window (traffic still blackholed) is modeled by
 :mod:`repro.access.bgp`.
+
+:class:`RoutingEquivalence` compares the two routers query by query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.entities import Link, Nic, Port, PortKind, Switch
 from ..core.errors import RoutingError
 from ..core.topology import Topology
-from ..obs import resolve as _obs_resolve
+from .cache import CachedRouter
+from .fib import AccessLeg
 from .hashing import FiveTuple, ecmp_index
 from .path import FlowPath, encode_dirlink
 
 #: safety bound on hop count (host-tor-agg-core-agg-tor-host = 6 links)
 _MAX_HOPS = 10
 
-#: one ECMP candidate: a ``(port, link)`` pair here, a link in the FIB
-_Candidate = TypeVar("_Candidate")
-
-
-@dataclass
-class AccessLeg:
-    """One access link of a NIC: the port index, the link and the ToR."""
-
-    port_index: int
-    link: Link
-    tor: str
-
-    @property
-    def usable(self) -> bool:
-        return self.link.up
-
 
 class Router:
-    """Hop-by-hop ECMP router for one topology."""
+    """Uncached hop-by-hop ECMP walker for one topology (the oracle)."""
 
-    def __init__(self, topo: Topology, per_port_core_hash: bool = True,
-                 recorder=None):
+    def __init__(self, topo: Topology, per_port_core_hash: bool = True):
         self.topo = topo
         self.per_port_core_hash = per_port_core_hash
-        # observability: per-tier hash-decision counters, resolved once
-        self._rec = _obs_resolve(recorder)
-        self._hash_counters: Dict[int, object] = {}
         #: >1 when the architecture physically isolates planes above tier 1
         self.planes: int = int(topo.meta.get("planes", 1))
         self.plane_isolated = self.planes > 1
@@ -77,8 +62,7 @@ class Router:
 
     # ------------------------------------------------------------------
     # The walker's adjacency index, built from the wiring on first read
-    # after each wiring change. Only this uncached walker reads it:
-    # CachedRouter walks its FIB.
+    # after each wiring change.
     @cached_property
     def _adj(self) -> Dict[str, Dict[str, List[Tuple[Port, Link]]]]:
         """Per switch: peer -> ``[(local port, link)]``, in port order."""
@@ -109,13 +93,10 @@ class Router:
         only (usability reads ``link.up`` live), so link flaps keep
         them. Every reader of either goes through this check."""
         if self._legs_epoch != self.topo.structure_epoch:
-            self._forget_wiring()
-
-    def _forget_wiring(self) -> None:
-        self._legs_memo.clear()
-        self.__dict__.pop("_adj", None)
-        self.__dict__.pop("_up", None)
-        self._legs_epoch = self.topo.structure_epoch
+            self._legs_memo.clear()
+            self.__dict__.pop("_adj", None)
+            self.__dict__.pop("_up", None)
+            self._legs_epoch = self.topo.structure_epoch
 
     # ------------------------------------------------------------------
     def access_legs(self, nic: Nic) -> List[AccessLeg]:
@@ -184,8 +165,6 @@ class Router:
         if plane is None:
             plane = usable[0]
         elif plane not in usable:
-            if self._rec is not None:
-                self._rec.metrics.counter("ecmp.plane_failover").inc()
             plane = usable[0]  # dual-ToR failover to the surviving port
         return self._walk(src_nic, dst_nic, ft, plane)
 
@@ -299,19 +278,11 @@ class Router:
     def _select(
         self,
         sw: Switch,
-        candidates: Sequence[_Candidate],
+        candidates: Sequence[Tuple[Port, Link]],
         ft: FiveTuple,
         dst_pod: int,
         ingress_port_index: int,
-    ) -> _Candidate:
-        if self._rec is not None:
-            counter = self._hash_counters.get(sw.tier)
-            if counter is None:
-                counter = self._rec.metrics.counter(
-                    "ecmp.hash_decisions", tier=str(sw.tier)
-                )
-                self._hash_counters[sw.tier] = counter
-            counter.inc()
+    ) -> Tuple[Port, Link]:
         if sw.tier == 3 and self.per_port_core_hash:
             # section 7: egress is a function of (ingress port, dst pod)
             # only -- 5-tuple irrelevant -- which kills core polarization.
@@ -355,25 +326,135 @@ class Router:
             if depth > _MAX_HOPS:
                 return 0
             try:
-                links = self._live_links(node, dst, dst_nic.rail, dst_by_tor)
+                pairs = self._candidates(
+                    self.topo.switches[node], dst, dst_nic.rail, dst_by_tor
+                )
             except RoutingError:
                 return 0
             total = 0
-            for link in links:
+            for _port, link in pairs:
                 total += dfs(link.other(node).node, depth + 1)
             return total
 
         return sum(dfs(leg.tor, 0) for leg in legs)
 
-    def _live_links(
-        self,
-        node: str,
-        dst,
-        dst_rail: int,
-        dst_by_tor: Dict[str, AccessLeg],
-    ) -> List[Link]:
-        """Live candidate links at switch ``node`` (the DFS's hook)."""
-        pairs = self._candidates(
-            self.topo.switches[node], dst, dst_rail, dst_by_tor
+
+# ----------------------------------------------------------------------
+# differential campaign: the production router against this walker
+# ----------------------------------------------------------------------
+#: queries per fabric in a campaign's pool, drawn once per campaign
+_QUERY_POOL = 48
+
+
+def _query(router, src: Nic, dst: Nic, ft: FiveTuple,
+           plane: Optional[int]) -> Tuple[Any, ...]:
+    """One routed query's outcome, comparable byte for byte."""
+    try:
+        p = router.path_for(src, dst, ft, plane)
+        return ("ok", tuple(p.nodes), tuple(p.dirlinks), p.plane)
+    except RoutingError as err:
+        return ("err", str(err))
+
+
+class RoutingEquivalence:
+    """Randomized cached-vs-oracle campaign over three architectures.
+
+    A seeded failure/repair campaign (same pattern as the simulator's
+    :class:`~repro.fabric.oracle.SolverEquivalence`): every query must
+    produce a byte-identical ``FlowPath`` -- or the identical
+    ``RoutingError`` message -- from :class:`~repro.routing.cache.CachedRouter`
+    and from the uncached :class:`Router`, under arbitrary link flips,
+    switch failures and recoveries, across the HPN, DCN+ and rail-only
+    architectures.
+    """
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+
+    def _fabrics(self) -> List[Tuple[str, Topology]]:
+        from ..topos import (
+            DcnPlusSpec,
+            HpnSpec,
+            RailOnlySpec,
+            build_dcnplus,
+            build_hpn,
+            build_railonly,
         )
-        return [link for _port, link in pairs]
+
+        return [
+            ("hpn", build_hpn(HpnSpec(
+                segments_per_pod=2, hosts_per_segment=8,
+                backup_hosts_per_segment=0, aggs_per_plane=4,
+            ))),
+            ("dcnplus", build_dcnplus(DcnPlusSpec(
+                pods=2, segments_per_pod=2, hosts_per_segment=6,
+            ))),
+            ("railonly", build_railonly(RailOnlySpec(
+                segments_per_pod=2, hosts_per_segment=6,
+            ))),
+        ]
+
+    def run_random(self, cases: int = 50,
+                   queries_per_case: int = 25) -> Dict[str, Any]:
+        """Run ``cases`` randomized failure/repair cases; returns a report.
+
+        Each case mutates one fabric (link flips, or a switch
+        failure/recovery) and compares every query outcome. Queries are
+        drawn from a pool of 48 per fabric, fixed once per campaign, so
+        the cached routers mostly answer from memory: invalidation --
+        not a cold cache -- is what keeps them honest, and an entry a
+        flap should have dropped shows up as a mismatch.
+        ``recover_node`` cases are the stale-cache regression the
+        paper's dual-ToR failover makes dangerous.
+        """
+        rng = random.Random(self.seed)
+        fabrics = self._fabrics()
+        oracles = {name: Router(topo) for name, topo in fabrics}
+        cached = {name: CachedRouter(topo) for name, topo in fabrics}
+        pools: Dict[str, List[Tuple[Nic, Nic, FiveTuple, Any]]] = {}
+        for name, topo in fabrics:
+            hosts = [h for h in topo.hosts.values() if not h.backup]
+            pool = pools[name] = []
+            for _ in range(_QUERY_POOL):
+                a, b = rng.sample(hosts, 2)
+                src = rng.choice(a.backend_nics())
+                dst = rng.choice(b.backend_nics())
+                plane = rng.choice([None, 0, 1])
+                ft = FiveTuple(src.ip, dst.ip, 49152 + rng.randrange(4096), 4791)
+                pool.append((src, dst, ft, plane))
+        mismatches: List[str] = []
+        checked = 0
+        for case in range(cases):
+            name, topo = fabrics[rng.randrange(len(fabrics))]
+            # mutate: mostly link flips, sometimes a whole-switch event
+            roll = rng.random()
+            if roll < 0.2 and topo.switches:
+                victim = rng.choice(sorted(topo.switches))
+                if topo.switches[victim].up:
+                    topo.fail_node(victim)
+                else:
+                    topo.recover_node(victim)
+            else:
+                for _ in range(rng.randint(1, 3)):
+                    lid = rng.choice(list(topo.links))
+                    topo.set_link_state(lid, rng.random() < 0.5)
+            for q in range(queries_per_case):
+                src, dst, ft, plane = rng.choice(pools[name])
+                want = _query(oracles[name], src, dst, ft, plane)
+                got = _query(cached[name], src, dst, ft, plane)
+                checked += 1
+                if want != got:
+                    mismatches.append(
+                        f"{name} case {case} query {q}: {src.name}->"
+                        f"{dst.name} plane={plane}: oracle={want!r} "
+                        f"cached={got!r}"
+                    )
+        stats = {name: r.stats.as_dict() for name, r in cached.items()}
+        return {
+            "ok": not mismatches,
+            "cases": cases,
+            "checked": checked,
+            "mismatches": mismatches[:10],
+            "mismatch_count": len(mismatches),
+            "cache_stats": stats,
+        }

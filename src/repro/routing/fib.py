@@ -1,13 +1,14 @@
 """Compiled per-switch forwarding tables (FIB).
 
-The hop-by-hop :class:`~repro.routing.ecmp.Router` re-derives every
-switch's candidate next-hops from adjacency dictionaries on each call.
 At pod scale a collective issues tens of thousands of ``path_for``
 calls per step, all walking the same handful of switches, so the
 candidate *structure* -- which links could ever carry traffic towards a
 destination class -- is worth compiling once per wiring
 (``Topology.structure_epoch``) and filtering by live ``Link.up`` state
-at walk time.
+at walk time. A :class:`Fib` is :class:`~repro.routing.cache.CachedRouter`'s
+one snapshot of the wiring: its switch tables, its per-NIC access-leg
+table (:meth:`Fib.access_legs`) and the structure epoch both were
+compiled at.
 
 Destination classes per tier mirror the deployed Clos forwarding
 state (paper section 6):
@@ -24,16 +25,17 @@ state (paper section 6):
   plane-isolated architectures since a core never crosses planes).
 
 A compiled group is a tuple of links. Candidate ordering is
-byte-compatible with the uncached walker: uplink sets are in port
-order, per-ToR groups are per-peer port-order lists, and per-pod groups
+byte-compatible with the uncached oracle walker
+(:class:`repro.routing.ecmp.Router`): uplink sets are in port order,
+per-ToR groups are per-peer port-order lists, and per-pod groups
 concatenate peers in first-appearance (port) order. This matters
 because ECMP selection is an index into the candidate list -- a
 reordered list is a different path.
 
 Every compiled group also carries a *token*, a negative int that never
-collides with a link id, so the cached walker can record, per routed
-flow, which groups it *examined* (not just which links it traversed)
-with one key per group, however wide the group. That dependency set is
+collides with a link id, so the router can record, per routed flow,
+which groups it *examined* (not just which links it traversed) with
+one key per group, however wide the group. That dependency set is
 what makes precise cache invalidation correct: a link coming back up
 can grow a candidate set and shift the ECMP index of a flow that never
 crossed it. :meth:`Fib.dependents` maps changed links to the tokens of
@@ -42,9 +44,10 @@ the groups that hold them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.entities import Host, Link, PortKind, Switch
+from ..core.entities import Host, Link, Nic, PortKind, Switch
 from ..core.errors import RoutingError
 from ..core.topology import Topology
 
@@ -54,6 +57,19 @@ Group = Tuple[Tuple[Link, ...], int]
 #: a group with no member: no link state can grow it (only a rewiring,
 #: which recompiles the FIB), so no link maps to its token
 _EMPTY_GROUP: Group = ((), -1)
+
+
+@dataclass
+class AccessLeg:
+    """One access link of a NIC: the port index, the link and the ToR."""
+
+    port_index: int
+    link: Link
+    tor: str
+
+    @property
+    def usable(self) -> bool:
+        return self.link.up
 
 
 class SwitchFib:
@@ -90,6 +106,10 @@ class Fib:
         self.structure_epoch = topo.structure_epoch
         self.railonly = topo.meta.get("architecture") == "railonly"
         self.switches: Dict[str, SwitchFib] = {}
+        #: ``(host, NIC index)`` -> its wired access legs, filled on a
+        #: NIC's first lookup; legs are wiring (``usable`` reads
+        #: ``Link.up`` live), so link flaps keep them
+        self.legs: Dict[Tuple[str, int], List[AccessLeg]] = {}
         #: link id -> tokens of the compiled groups holding that link
         self._tokens: Dict[int, Tuple[int, ...]] = {}
         self._next_token = _EMPTY_GROUP[1] - 1
@@ -110,8 +130,8 @@ class Fib:
 
     def _peer_links(self, name: str) -> Dict[str, List[Link]]:
         """``name``'s links per peer, peers in first-appearance order and
-        links in port order -- the shape of ``Router._adj``, so
-        candidate order matches."""
+        links in port order -- the shape of the oracle's ``Router._adj``,
+        so candidate order matches."""
         adj: Dict[str, List[Link]] = {}
         for _port, link, peer in self.topo.neighbors(name):
             adj.setdefault(peer, []).append(link)
@@ -148,6 +168,22 @@ class Fib:
                 }
             self.switches[name] = entry
 
+    def access_legs(self, nic: Nic) -> List[AccessLeg]:
+        """The wired access legs of a NIC, in NIC port order."""
+        key = (nic.host, nic.index)
+        legs = self.legs.get(key)
+        if legs is None:
+            topo = self.topo
+            legs = []
+            for idx, pref in enumerate(nic.ports):
+                port = topo.port(pref)
+                if port.link_id is None:
+                    continue
+                link = topo.links[port.link_id]
+                legs.append(AccessLeg(idx, link, link.other(nic.host).node))
+            self.legs[key] = legs
+        return legs
+
     def dependents(self, changed: Iterable[int]) -> Set[int]:
         """``changed`` link ids plus the tokens of every group holding one.
 
@@ -172,10 +208,10 @@ class Fib:
     ) -> List[Link]:
         """Live candidate links at ``entry`` towards the destination.
 
-        Mirrors ``Router._candidates`` hop for hop, but indexes the
-        compiled tables instead of scanning adjacency dicts, and adds
-        the token of every *examined* group to ``deps`` (the cache
-        entry's invalidation set).
+        Indexes the compiled tables (the oracle ``Router._candidates``
+        scans adjacency dicts instead) and adds the token of every
+        *examined* group to ``deps`` (the cache entry's invalidation
+        set).
         """
         tier = entry.tier
         if tier == 1:

@@ -25,7 +25,7 @@ from typing import List, Optional, Set
 from ..core.entities import Nic
 from ..core.errors import RoutingError
 from ..obs import resolve as _obs_resolve
-from .ecmp import Router
+from .cache import CachedRouter
 from .hashing import FiveTuple
 from .path import FlowPath
 
@@ -60,7 +60,7 @@ class DisjointPathSet:
 
 
 def find_paths(
-    router: Router,
+    router: CachedRouter,
     src_nic: Nic,
     dst_nic: Nic,
     dport: int,
@@ -116,7 +116,7 @@ def find_paths(
 
 
 def max_disjoint_paths(
-    router: Router,
+    router: CachedRouter,
     src_nic: Nic,
     dst_nic: Nic,
     dport: int = 4791,

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from ..core.errors import RoutingError
 from ..core.topology import Topology
-from .ecmp import Router
+from .cache import CachedRouter, shared_router
 from .hashing import FiveTuple
 
 #: host-tor-agg-core-agg-tor-host
@@ -85,7 +85,7 @@ class ForwardingReport:
 
 def verify_forwarding(
     topo: Topology,
-    router: Optional[Router] = None,
+    router: Optional[CachedRouter] = None,
     max_pairs: int = 64,
     sports_per_pair: int = 4,
     rail: int = 0,
@@ -98,8 +98,6 @@ def verify_forwarding(
     cross-rail traffic, partitioned failures).
     """
     if router is None:
-        from .cache import shared_router
-
         router = shared_router(topo)
     report = ForwardingReport()
     hosts = sorted(h.name for h in topo.active_hosts())

@@ -31,7 +31,6 @@ from ..core.topology import Topology
 from ..routing import (
     CachedRouter,
     FiveTuple,
-    Router,
     find_paths,
     reset_shared_router,
     shared_router,
@@ -61,7 +60,6 @@ class ServeState:
         # across repeated failure sets thanks to net-change
         # invalidation) while the live router's bytes never move.
         self.probe_router = CachedRouter(topo)  # repro: noqa[LINT006]
-        self._oracle: Optional[Router] = None
         # (host, rail) -> Nic is structural: valid until a rewiring
         # bumps structure_epoch, independent of link up/down state
         self._nic_memo: Dict[Tuple[str, int], Nic] = {}
@@ -82,18 +80,6 @@ class ServeState:
         if query.is_what_if:
             return self._execute_what_if(self.probe_router, query)
         return self._eval_now(self.router, query)
-
-    def execute_oracle(self, query: Query) -> Result:
-        """Evaluate against the uncached hop-by-hop walker.
-
-        The differential oracle for the serve tests: byte-identical
-        results, no FIB, no memo, every query pays the full derivation.
-        """
-        if self._oracle is None:
-            self._oracle = Router(self.topo)  # repro: noqa[LINT006]
-        if query.is_what_if:
-            return self._execute_what_if(self._oracle, query)
-        return self._eval_now(self._oracle, query)
 
     # ------------------------------------------------------------------
     # batched execution
@@ -184,7 +170,7 @@ class ServeState:
         for lid in query.fail_links:
             self.topo.set_link_state(lid, False)
 
-    def _execute_what_if(self, router: Router, query: Query) -> Result:
+    def _execute_what_if(self, router: CachedRouter, query: Query) -> Result:
         err = self._check_failure_set(query)
         if err is not None:
             return _error(query, err)
@@ -195,7 +181,7 @@ class ServeState:
     # ------------------------------------------------------------------
     # per-kind evaluation (state already forked if what-if)
     # ------------------------------------------------------------------
-    def _eval_now(self, router: Router, query: Query) -> Result:
+    def _eval_now(self, router: CachedRouter, query: Query) -> Result:
         try:
             src, dst = self._nics(query)
         except QueryError as err:

@@ -349,12 +349,13 @@ def _router_rule_exempt(path: str) -> bool:
 @lint_rule("LINT006", "no direct Router construction outside routing",
            Severity.ERROR)
 class DirectRouterRule(LintRule):
-    """``CachedRouter(topo)`` at a call site pays a cold FIB compile,
-    ``Router(topo)`` re-derives every path uncached, and both throw away
-    the warm route cache; use
-    ``repro.routing.shared_router(topo)`` so call sites share one
-    compiled FIB and one warm route cache per topology. The routing
-    package itself, tests and benchmarks are exempt."""
+    """``CachedRouter(topo)`` at a call site pays a cold FIB compile and
+    throws away the warm route cache; ``Router(topo)`` is the uncached
+    oracle walker (``repro.routing.ecmp``), which only tests and
+    benchmarks route through. Use ``repro.routing.shared_router(topo)``
+    so call sites share one compiled FIB and one warm route cache per
+    topology. The routing package itself, tests and benchmarks are
+    exempt."""
 
     def run(self) -> None:
         if _router_rule_exempt(self.ctx.path):

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.entities import Nic
 from ..core.errors import TopologyError
 from ..core.topology import Topology
-from ..routing.ecmp import Router
+from ..routing.cache import CachedRouter
 from ..routing.hashing import FiveTuple
 
 
@@ -46,7 +46,7 @@ class ProbeTrace:
 
 
 def probe_path(
-    router: Router, src_nic: Nic, dst_nic: Nic, plane: int, sport: int = 61000
+    router: CachedRouter, src_nic: Nic, dst_nic: Nic, plane: int, sport: int = 61000
 ) -> ProbeTrace:
     """Send one INT probe and record per-hop (switch, egress port)."""
     ft = FiveTuple(src_nic.ip, dst_nic.ip, sport, 4791)
@@ -108,7 +108,6 @@ class Blueprint:
 
 def verify_wiring(
     topo: Topology,
-    router: Optional[Router] = None,
     hosts: Optional[Sequence[str]] = None,
 ) -> List[WiringFault]:
     """Sweep the blueprint check across hosts; returns all faults."""

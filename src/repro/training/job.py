@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from ..collective.comm import Communicator
 from ..core.topology import Topology
-from ..routing.ecmp import Router
+from ..routing.cache import CachedRouter
 from .iteration import IterationBreakdown, simulate_iteration
 from .models import GpuSpec, H800, LlmConfig
 from .parallelism import ParallelismPlan, Placement
@@ -24,7 +24,7 @@ class TrainingJob:
     """One LLM training job placed on a cluster."""
 
     topo: Topology
-    router: Router
+    router: CachedRouter
     config: LlmConfig
     placement: Placement
     gpu: GpuSpec = H800
@@ -80,7 +80,7 @@ class TrainingJob:
 
 def make_job(
     topo: Topology,
-    router: Router,
+    router: CachedRouter,
     config: LlmConfig,
     plan: ParallelismPlan,
     hosts: Sequence[str],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.routing import Router
+from repro.routing import shared_router
 from repro.topos import (
     DcnPlusSpec,
     FatTreeSpec,
@@ -49,7 +49,7 @@ def hpn_small():
 
 @pytest.fixture(scope="session")
 def hpn_router(hpn_small):
-    return Router(hpn_small)
+    return shared_router(hpn_small)
 
 
 @pytest.fixture(scope="session")
@@ -59,7 +59,7 @@ def dcn_small():
 
 @pytest.fixture(scope="session")
 def dcn_router(dcn_small):
-    return Router(dcn_small)
+    return shared_router(dcn_small)
 
 
 @pytest.fixture(scope="session")

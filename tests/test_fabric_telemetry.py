@@ -3,6 +3,8 @@ NIC-facing port counters, aggregation ingress and imbalance summaries."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.units import GB
@@ -51,7 +53,10 @@ class TestDirlinkLoads:
         f = _flow(hpn_small, hpn_router, "pod0/seg0/host0",
                   "pod0/seg0/host1", rate=100.0)
         first = f.path.dirlinks[0]
-        f.path.dirlinks.append(first)  # simulate the bent-back walk
+        # simulate the bent-back walk on a copy: the route cache hands
+        # every caller of this route the same FlowPath object
+        f.path = dataclasses.replace(
+            f.path, dirlinks=f.path.dirlinks + [first])
         loads = dirlink_loads([f])
         assert loads[first] == pytest.approx(100.0)
         counts = dirlink_loads([f], use_rate=False)

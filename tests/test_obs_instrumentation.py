@@ -9,7 +9,7 @@ from repro.access import FailoverTimeline
 from repro.core.units import GB, MB
 from repro.fabric import Flow, FluidSimulator, QueueTracker
 from repro.obs import Recorder, get_logger, recording
-from repro.routing import FiveTuple, Router, find_paths
+from repro.routing import CachedRouter, FiveTuple, find_paths
 
 
 def _edge_flow(topo, router, src, dst, rail, size, sport=50000, plane=0):
@@ -89,7 +89,7 @@ class TestSimulatorInstrumentation:
 class TestRoutingInstrumentation:
     def test_hash_decision_counters_by_tier(self, hpn_small):
         rec = Recorder()
-        router = Router(hpn_small, recorder=rec)
+        router = CachedRouter(hpn_small, recorder=rec)
         a = hpn_small.hosts["pod0/seg0/host0"].nic_for_rail(0)
         b = hpn_small.hosts["pod0/seg1/host0"].nic_for_rail(0)
         ft = FiveTuple(a.ip, b.ip, 50000, 4791)
@@ -100,7 +100,7 @@ class TestRoutingInstrumentation:
 
     def test_plane_failover_counter(self, hpn_mutable):
         rec = Recorder()
-        router = Router(hpn_mutable, recorder=rec)
+        router = CachedRouter(hpn_mutable, recorder=rec)
         a = hpn_mutable.hosts["pod0/seg0/host0"].nic_for_rail(0)
         b = hpn_mutable.hosts["pod0/seg0/host1"].nic_for_rail(0)
         # kill the plane-0 access leg of the source NIC

@@ -3,8 +3,9 @@
 The serving contract is differential: ``execute_batch`` (dedupe +
 grouped transient blocks + the RePaC/residual/what-if result memo) must
 return dicts equal byte for byte to serial :meth:`ServeState.execute`,
-which in turn must match the uncached oracle -- including error
-results and what-if queries. The caches are an implementation detail
+which in turn must match a ``ServeState`` whose live and probe routers
+are both the uncached oracle walker -- including error results and
+what-if queries. The caches are an implementation detail
 that must never change an answer: real failures expire them, probe
 cycles keep them warm, and each answer lives in one of them only.
 """
@@ -15,9 +16,18 @@ import random
 
 import pytest
 
+from repro.routing import Router
 from repro.serve import KINDS, Query, QueryError, ServeState
 from repro.serve.query import Query as Q
 from repro.topos import HpnSpec, build_hpn
+
+
+def oracle_state(topo):
+    """A ServeState that answers through the uncached walker: no FIB,
+    no route cache, every query pays the full derivation."""
+    state = ServeState(topo)
+    state.router = state.probe_router = Router(topo)
+    return state
 
 
 def agg_link_id(topo):
@@ -132,8 +142,9 @@ def first_mismatch(a, b):
 class TestSerialExecution:
     def test_serial_matches_oracle_for_every_kind(self, hpn_mutable):
         state = ServeState(hpn_mutable, fresh=True)
+        oracle = oracle_state(hpn_mutable)
         for q in mixed_workload(hpn_mutable):
-            assert state.execute(q) == state.execute_oracle(q), q
+            assert state.execute(q) == oracle.execute(q), q
 
     def test_error_results_are_structured(self, hpn_mutable):
         state = ServeState(hpn_mutable, fresh=True)
@@ -209,7 +220,8 @@ class TestBatchedExecution:
         topo.set_link_state(leg.link.link_id, False)
         after = state.execute_batch(batch)
         assert [res["planes"] for res in after] == [[0]] * 3
-        assert after == [state.execute_oracle(q) for q in batch]
+        oracle = oracle_state(topo)
+        assert after == [oracle.execute(q) for q in batch]
         # repair nets the link back -> memoised answers valid again
         topo.set_link_state(leg.link.link_id, True)
         assert state.execute_batch(batch) == before
@@ -223,10 +235,11 @@ class TestBatchedExecution:
         planes = [Query(kind="planes", src_host=a, dst_host=b)
                   for a, b in pairs]
         assert len(set(planes)) == 100
+        oracle = oracle_state(topo)
         for start in range(0, len(planes), 16):
             chunk = planes[start:start + 16]
             for q, res in zip(chunk, state.execute_batch(chunk)):
-                assert res == state.execute_oracle(q), q
+                assert res == oracle.execute(q), q
         assert state._result_memo == {}
 
     def test_batch_counts_route_cache_lookups_like_serial(self, hpn_mutable):
@@ -269,8 +282,9 @@ class TestBatchedExecution:
         # so no state-log entries either
         assert state.execute_batch(group) == got
         assert topo.state_epoch == epoch_before + 2
+        oracle = oracle_state(topo)
         for q, res in zip(group, got):
-            assert res == state.execute_oracle(q)
+            assert res == oracle.execute(q)
 
     def test_batch_leaves_topology_state_restored(self, hpn_mutable):
         topo = hpn_mutable
@@ -289,8 +303,8 @@ class TestMixedLoadAtPodScale:
         ))
         load = mixed_load(topo, seed=7)
         assert {q.kind for q in load} == set(KINDS)
-        oracle_state = ServeState(topo, fresh=True)
-        oracle = [oracle_state.execute_oracle(q) for q in load]
+        oracle_serve = oracle_state(topo)
+        oracle = [oracle_serve.execute(q) for q in load]
         serial_state = ServeState(topo, fresh=True)
         serial = [serial_state.execute(q) for q in load]
         batch_state = ServeState(topo, fresh=True)

@@ -113,7 +113,7 @@ class TestEventLoop:
         sim.add_flows([f])
         result = sim.run(until=0.01)
         assert result.finish_time == pytest.approx(0.01)
-        assert not f.done
+        assert f.finish_time is None and f.remaining_bytes > 0
 
     def test_mid_run_failure_event(self, hpn_mutable):
         """A link failure mid-transfer stalls the flow until repair."""
@@ -141,9 +141,9 @@ class TestEventLoop:
     def test_flow_reset(self, hpn_small, hpn_router):
         f = _edge_flow(hpn_small, hpn_router, "pod0/seg0/host0", "pod0/seg0/host1", 0, GB)
         run_flows(hpn_small, [f])
-        assert f.done
+        assert f.finish_time is not None and f.remaining_bytes == 0.0
         f.reset()
-        assert not f.done
+        assert f.finish_time is None
         assert f.remaining_bytes == f.size_bytes
 
     def test_flow_size_must_be_positive(self, hpn_small, hpn_router):
