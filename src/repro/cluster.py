@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from .collective.comm import Communicator
 from .core.topology import Topology
-from .routing.cache import CachedRouter, reset_shared_router, shared_router
+from .routing.cache import CachedRouter, shared_router
 from .topos.dcnplus import build_dcnplus
 from .topos.hpn import build_hpn
 from .topos.singletor import build_singletor
@@ -92,7 +92,3 @@ class Cluster:
             hosts = self.place(plan.num_hosts)
         kwargs.setdefault("disjoint_paths", self.is_hpn)
         return make_job(self.topo, self.router, config, plan, hosts, **kwargs)
-
-    def refresh_routing(self) -> None:
-        """Rebuild router indexes after structural topology changes."""
-        self.router = reset_shared_router(self.topo)

@@ -120,11 +120,6 @@ class Communicator:
             self._conn_cache[key] = conns
         return conns
 
-    def invalidate_connections(self) -> None:
-        """Drop cached connections (topology/link state changed)."""
-        self._conn_cache.clear()
-        self._conn_epoch = (self.topo.state_epoch, self.topo.structure_epoch)
-
     # ------------------------------------------------------------------
     def edge_flows(
         self,

@@ -58,8 +58,6 @@ def establish_conns(
     dst_nic: Nic,
     dport: int = 4791,
     num_conns: int = 2,
-    plane: Optional[int] = None,
-    alternate_planes: bool = True,
     disjoint: bool = True,
 ) -> List[Connection]:
     """Algorithm 1: build ``num_conns`` connections per logical peer.
@@ -70,20 +68,15 @@ def establish_conns(
     source ports are picked blindly and the paths land wherever ECMP
     hashing sends them -- collisions included.
 
-    With ``alternate_planes`` (dual-plane fabrics), consecutive
-    connections use alternating NIC ports so one logical peer can drive
-    both 200G ports -- the full 400G rail.
+    Consecutive connections cycle through the usable planes, so on a
+    dual-plane fabric one logical peer drives both 200G NIC ports --
+    the full 400G rail.
     """
     conns: List[Connection] = []
     planes = router.usable_planes(src_nic, dst_nic)
     if not planes:
         raise CollectiveError(f"no plane from {src_nic.name} to {dst_nic.name}")
-    plane_seq: List[int] = []
-    for i in range(num_conns):
-        if alternate_planes and len(planes) > 1:
-            plane_seq.append(planes[i % len(planes)])
-        else:
-            plane_seq.append(plane if plane in planes else planes[0])
+    plane_seq = [planes[i % len(planes)] for i in range(num_conns)]
 
     if disjoint:
         per_plane: Dict[int, int] = {}

@@ -2,8 +2,9 @@
 
 A :class:`Topology` owns all hosts, switches, ports and links of one
 network (backend or frontend), provides wiring primitives for the
-builders in :mod:`repro.topos`, and answers the structural queries used
-by routing and the fluid simulator.
+builders in :mod:`repro.topos` (:meth:`~Topology.connect` lays a
+switch-to-switch link, :meth:`~Topology.attach` a host NIC link), and
+answers the structural queries used by routing and the fluid simulator.
 
 The container deliberately stores adjacency in plain dictionaries rather
 than a general graph library: route computation in a Clos exploits tier
@@ -138,6 +139,19 @@ class Topology:
         self._next_link_id += 1
         self.structure_epoch += 1
         return link
+
+    def connect(self, lower: str, upper: str, gbps: float) -> Link:
+        """Lay one switch-to-switch link: a new UP port on ``lower``
+        wired to a new DOWN port on ``upper``, both at ``gbps``."""
+        up = self.alloc_port(lower, gbps, PortKind.UP)
+        down = self.alloc_port(upper, gbps, PortKind.DOWN)
+        return self.wire(up.ref, down.ref)
+
+    def attach(self, nic_port: PortRef, switch: str, gbps: float) -> Link:
+        """Wire an existing host NIC port to a new DOWN port on
+        ``switch`` at ``gbps``; the link runs at the slower of the two."""
+        down = self.alloc_port(switch, gbps, PortKind.DOWN)
+        return self.wire(nic_port, down.ref)
 
     def link_between(self, node_a: str, node_b: str) -> List[Link]:
         """All (possibly parallel) links between two nodes."""

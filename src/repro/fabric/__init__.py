@@ -7,7 +7,7 @@ from .queues import QueueTracker
 from .replay import IterationReplay, NicSeries
 from .oracle import EquivalenceReport, SolverEquivalence, max_min_rates
 from .simulator import FluidSimulator, SimResult, run_flows
-from .solver import IncrementalMaxMinSolver, SolveOutcome, SolverStats
+from .solver import IncrementalMaxMinSolver, SolveOutcome
 from .telemetry import (
     agg_ingress_gbps,
     dirlink_loads,
@@ -29,7 +29,6 @@ __all__ = [
     "SimResult",
     "SolveOutcome",
     "SolverEquivalence",
-    "SolverStats",
     "agg_ingress_gbps",
     "build_snapshot",
     "waterfill",

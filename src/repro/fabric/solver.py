@@ -42,31 +42,6 @@ from .kernel import build_snapshot, waterfill
 
 
 @dataclass
-class SolverStats:
-    """Counters the solver keeps; mirrored into obs by the simulator."""
-
-    full_solves: int = 0
-    incremental_solves: int = 0
-    noop_solves: int = 0
-    #: flows re-solved, summed over boundaries (vs. flows active)
-    resolved_flows: int = 0
-    active_flow_boundaries: int = 0
-    #: progressive-filling iterations, summed over component fills
-    kernel_iters: int = 0
-
-    @property
-    def solves(self) -> int:
-        return self.full_solves + self.incremental_solves
-
-    @property
-    def mean_dirty_frac(self) -> float:
-        """Average fraction of active flows re-solved per boundary."""
-        if not self.active_flow_boundaries:
-            return 0.0
-        return self.resolved_flows / self.active_flow_boundaries
-
-
-@dataclass
 class SolveOutcome:
     """What one :meth:`IncrementalMaxMinSolver.solve` call did."""
 
@@ -119,7 +94,6 @@ class IncrementalMaxMinSolver:
     ):
         self.index = IncidenceIndex()
         self.on_bottleneck = on_bottleneck
-        self.stats = SolverStats()
         #: committed rate (Gbps) per active flow id -- the splice target
         self.rates: Dict[int, float] = {}
         self._link_gbps = link_gbps
@@ -164,7 +138,6 @@ class IncrementalMaxMinSolver:
         index = self.index
         dirty_links = self._dirty_links
         if not self._dirty_flows and not dirty_links:
-            self.stats.noop_solves += 1
             return _NOOP
         # links indexed since the last solve are re-read as well: one
         # may have changed state after its first read and back again,
@@ -187,15 +160,9 @@ class IncrementalMaxMinSolver:
             self.on_filled(comps, dirty_links)
         dirty_links.clear()
         n_active = len(index.flows)
-        stats = self.stats
-        stats.active_flow_boundaries += n_active
-        stats.resolved_flows += len(touched)
-        stats.kernel_iters += iters
         if touched and len(touched) == n_active:
-            stats.full_solves += 1
             return SolveOutcome("full", frozenset(touched), 1.0,
                                 kernel_iters=iters)
-        stats.incremental_solves += 1
         frac = len(touched) / n_active if n_active else 0.0
         return SolveOutcome("incremental", frozenset(touched), frac,
                             kernel_iters=iters)

@@ -81,7 +81,7 @@ class FaultInjector:
         pending_recovery_index: Optional[int] = None
 
         def throughput(note: str, t: float) -> None:
-            # no explicit refresh_connections(): every injected fault
+            # nothing is refreshed by hand: every injected fault
             # bumps Topology.state_epoch, and the Communicator drops its
             # connection sets on the epoch move -- the cached router
             # then re-walks only the routes the fault dirtied

@@ -29,7 +29,6 @@ from .hashing import (
     polarization_coefficient,
 )
 from .path import FlowPath, decode_dirlink, disjoint, encode_dirlink, mutually_disjoint
-from .perport import per_port_index, select_core_egress
 from .repac import DisjointPathSet, PathProbe, find_paths, max_disjoint_paths
 from .verify import ForwardingReport, ForwardingViolation, verify_forwarding
 
@@ -63,8 +62,6 @@ __all__ = [
     "max_disjoint_paths",
     "measured_complexity",
     "mutually_disjoint",
-    "per_port_index",
     "polarization_coefficient",
-    "select_core_egress",
     "table1",
 ]

@@ -137,10 +137,8 @@ class CachedRouter:
     constructing one per call site (lint rule ``LINT006``).
     """
 
-    def __init__(self, topo: Topology, per_port_core_hash: bool = True,
-                 recorder=None):
+    def __init__(self, topo: Topology, recorder=None):
         self.topo = topo
-        self.per_port_core_hash = per_port_core_hash
         #: whether the architecture physically isolates planes above tier 1
         self.plane_isolated = int(topo.meta.get("planes", 1)) > 1
         self.stats = RouteStats()
@@ -452,7 +450,7 @@ class CachedRouter:
                 )
                 self._hash_counters[sw.tier] = counter
             counter.inc()
-        if sw.tier == 3 and self.per_port_core_hash:
+        if sw.tier == 3:
             # section 7: egress is a function of (ingress port, dst pod)
             # only -- 5-tuple irrelevant -- which kills core polarization.
             return candidates[(ingress_port_index + dst_pod) % len(candidates)]
@@ -508,11 +506,7 @@ class CachedRouter:
         return sum(dfs(leg.tor, 0) for leg in legs)
 
 
-def shared_router(
-    topo: Topology,
-    per_port_core_hash: bool = True,
-    recorder=None,
-) -> CachedRouter:
+def shared_router(topo: Topology, recorder=None) -> CachedRouter:
     """The per-topology :class:`CachedRouter`, created on first use.
 
     Call sites share one cached instance (and therefore one warm cache)
@@ -522,21 +516,13 @@ def shared_router(
     router (an existing warm router keeps its recorder).
     """
     router = getattr(topo, "_shared_router", None)
-    if (
-        not isinstance(router, CachedRouter)
-        or router.topo is not topo
-        or router.per_port_core_hash != per_port_core_hash
-    ):
-        router = reset_shared_router(topo, per_port_core_hash, recorder)
+    if not isinstance(router, CachedRouter) or router.topo is not topo:
+        router = reset_shared_router(topo, recorder)
     return router
 
 
-def reset_shared_router(
-    topo: Topology,
-    per_port_core_hash: bool = True,
-    recorder=None,
-) -> CachedRouter:
+def reset_shared_router(topo: Topology, recorder=None) -> CachedRouter:
     """Discard the shared router and install a fresh (cold) one."""
-    router = CachedRouter(topo, per_port_core_hash, recorder)
+    router = CachedRouter(topo, recorder)
     topo._shared_router = router  # type: ignore[attr-defined]
     return router

@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..core.addressing import assign_addresses
-from ..core.entities import PortKind, Switch, SwitchRole
+from ..core.entities import Switch, SwitchRole
 from ..core.topology import Topology
-from .spec import DcnPlusSpec, TOR_UP_GBPS
+from .spec import DcnPlusSpec, TOR_UP_GBPS, hash_seeds
 
 
 def tor_name(pod: int, segment: int, side: int) -> str:
@@ -49,15 +49,7 @@ def build_dcnplus(spec: DcnPlusSpec = DcnPlusSpec()) -> Topology:
     topo.meta["spec"] = spec
     topo.meta["architecture"] = "dcnplus"
     topo.meta["planes"] = 1
-
-    seed_counter = 1
-
-    def seed() -> int:
-        nonlocal seed_counter
-        if spec.polarized_hashing:
-            return 0
-        seed_counter += 1
-        return seed_counter
+    seeds = hash_seeds(spec.polarized_hashing)
 
     # --- core groups ---------------------------------------------------
     cores: Dict[Tuple[int, int], Switch] = {}
@@ -71,7 +63,7 @@ def build_dcnplus(spec: DcnPlusSpec = DcnPlusSpec()) -> Topology:
                         role=SwitchRole.CORE,
                         tier=3,
                         pod=-1,
-                        hash_seed=seed(),
+                        hash_seed=next(seeds),
                     )
                 )
                 cores[(group, c)] = sw
@@ -85,7 +77,7 @@ def build_dcnplus(spec: DcnPlusSpec = DcnPlusSpec()) -> Topology:
                     role=SwitchRole.AGG,
                     tier=2,
                     pod=pod,
-                    hash_seed=seed(),
+                    hash_seed=next(seeds),
                 )
             )
             aggs.append(sw)
@@ -93,11 +85,7 @@ def build_dcnplus(spec: DcnPlusSpec = DcnPlusSpec()) -> Topology:
                 links_per_core = spec.agg_core_uplinks // spec.cores_per_group
                 for c in range(spec.cores_per_group):
                     for _ in range(links_per_core):
-                        up = topo.alloc_port(sw.name, TOR_UP_GBPS, PortKind.UP)
-                        down = topo.alloc_port(
-                            cores[(a, c)].name, TOR_UP_GBPS, PortKind.DOWN
-                        )
-                        topo.wire(up.ref, down.ref)
+                        topo.connect(sw.name, cores[(a, c)].name, TOR_UP_GBPS)
 
         for segment in range(spec.segments_per_pod):
             pair: List[Switch] = []
@@ -110,15 +98,13 @@ def build_dcnplus(spec: DcnPlusSpec = DcnPlusSpec()) -> Topology:
                         pod=pod,
                         segment=segment,
                         plane=None,  # DCN+ has no plane isolation
-                        hash_seed=seed(),
+                        hash_seed=next(seeds),
                     )
                 )
                 pair.append(sw)
                 for agg in aggs:
                     for _ in range(spec.tor_agg_links):
-                        up = topo.alloc_port(sw.name, TOR_UP_GBPS, PortKind.UP)
-                        down = topo.alloc_port(agg.name, TOR_UP_GBPS, PortKind.DOWN)
-                        topo.wire(up.ref, down.ref)
+                        topo.connect(sw.name, agg.name, TOR_UP_GBPS)
 
             for h in range(spec.hosts_per_segment):
                 host = topo.build_host(
@@ -132,19 +118,7 @@ def build_dcnplus(spec: DcnPlusSpec = DcnPlusSpec()) -> Topology:
                 )
                 for nic in host.backend_nics():
                     for side in (0, 1):
-                        tor_port = topo.alloc_port(
-                            pair[side].name, spec.nic_gbps, PortKind.DOWN
-                        )
-                        topo.wire(nic.ports[side], tor_port.ref)
+                        topo.attach(nic.ports[side], pair[side].name, spec.nic_gbps)
 
     assign_addresses(topo)
     return topo
-
-
-def segment_hosts(topo: Topology, pod: int, segment: int) -> List[str]:
-    out = [
-        h.name
-        for h in topo.hosts.values()
-        if h.pod == pod and h.segment == segment
-    ]
-    return sorted(out, key=lambda n: topo.hosts[n].index)

@@ -12,7 +12,7 @@ serves ``k/2`` hosts.
 from __future__ import annotations
 
 from ..core.addressing import assign_addresses
-from ..core.entities import PortKind, Switch, SwitchRole
+from ..core.entities import Switch, SwitchRole
 from ..core.topology import Topology
 from .spec import FatTreeSpec
 
@@ -57,11 +57,7 @@ def build_fattree(spec: FatTreeSpec = FatTreeSpec(k=4)) -> Topology:
             aggs.append(sw)
             # agg a connects to core row a (one link to each core in row)
             for j in range(half):
-                up = topo.alloc_port(sw.name, spec.link_gbps, PortKind.UP)
-                down = topo.alloc_port(
-                    cores[a][j].name, spec.link_gbps, PortKind.DOWN
-                )
-                topo.wire(up.ref, down.ref)
+                topo.connect(sw.name, cores[a][j].name, spec.link_gbps)
 
         for e in range(half):
             edge = topo.add_switch(
@@ -75,9 +71,7 @@ def build_fattree(spec: FatTreeSpec = FatTreeSpec(k=4)) -> Topology:
                 )
             )
             for agg in aggs:
-                up = topo.alloc_port(edge.name, spec.link_gbps, PortKind.UP)
-                down = topo.alloc_port(agg.name, spec.link_gbps, PortKind.DOWN)
-                topo.wire(up.ref, down.ref)
+                topo.connect(edge.name, agg.name, spec.link_gbps)
             for h in range(half):
                 host = topo.build_host(
                     name=f"pod{pod}/edge{e}/host{h}",
@@ -90,8 +84,7 @@ def build_fattree(spec: FatTreeSpec = FatTreeSpec(k=4)) -> Topology:
                 )
                 # single-homed: wire only port 0 of NIC 0
                 nic = host.backend_nics()[0]
-                tor_port = topo.alloc_port(edge.name, spec.link_gbps, PortKind.DOWN)
-                topo.wire(nic.ports[0], tor_port.ref)
+                topo.attach(nic.ports[0], edge.name, spec.link_gbps)
 
     assign_addresses(topo)
     return topo

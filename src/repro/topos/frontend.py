@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List
 
 from ..core.addressing import assign_addresses
-from ..core.entities import PortKind, Switch, SwitchRole
+from ..core.entities import Switch, SwitchRole
 from ..core.topology import Topology
 from .spec import FrontendSpec, TOR_UP_GBPS
 
@@ -52,9 +52,7 @@ def build_frontend(spec: FrontendSpec = FrontendSpec()) -> Topology:
         aggs.append(sw)
         for core in cores:
             for _ in range(links_per_core):
-                up = topo.alloc_port(sw.name, TOR_UP_GBPS, PortKind.UP)
-                down = topo.alloc_port(core.name, TOR_UP_GBPS, PortKind.DOWN)
-                topo.wire(up.ref, down.ref)
+                topo.connect(sw.name, core.name, TOR_UP_GBPS)
 
     pairs = pairs_needed
     storage_names: List[str] = []
@@ -75,9 +73,7 @@ def build_frontend(spec: FrontendSpec = FrontendSpec()) -> Topology:
             tors.append(sw)
             for agg in aggs:
                 for _ in range(spec.tor_agg_links):
-                    up = topo.alloc_port(sw.name, TOR_UP_GBPS, PortKind.UP)
-                    down = topo.alloc_port(agg.name, TOR_UP_GBPS, PortKind.DOWN)
-                    topo.wire(up.ref, down.ref)
+                    topo.connect(sw.name, agg.name, TOR_UP_GBPS)
 
         for _ in range(spec.hosts_per_tor_pair):
             if host_idx >= total_hosts:
@@ -99,10 +95,7 @@ def build_frontend(spec: FrontendSpec = FrontendSpec()) -> Topology:
             )
             fe_nic = host.frontend_nic()
             for side in (0, 1):
-                tor_port = topo.alloc_port(
-                    tors[side].name, spec.nic_gbps, PortKind.DOWN
-                )
-                topo.wire(fe_nic.ports[side], tor_port.ref)
+                topo.attach(fe_nic.ports[side], tors[side].name, spec.nic_gbps)
             if is_storage:
                 storage_names.append(name)
             host_idx += 1

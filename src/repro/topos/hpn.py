@@ -28,10 +28,10 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..core.addressing import assign_addresses
-from ..core.entities import PortKind, Switch, SwitchRole
+from ..core.entities import Switch, SwitchRole
 from ..core.errors import SpecError
 from ..core.topology import Topology
-from .spec import HpnSpec, TOR_UP_GBPS
+from .spec import HpnSpec, TOR_UP_GBPS, hash_seeds
 
 
 def tor_name(pod: int, segment: int, rail: int, plane: int) -> str:
@@ -60,15 +60,7 @@ def build_hpn(spec: HpnSpec = HpnSpec()) -> Topology:
     topo.meta["spec"] = spec
     topo.meta["architecture"] = "hpn"
     topo.meta["planes"] = 2
-
-    seed_counter = 1
-
-    def seed() -> int:
-        nonlocal seed_counter
-        if spec.polarized_hashing:
-            return 0
-        seed_counter += 1
-        return seed_counter
+    seeds = hash_seeds(spec.polarized_hashing)
 
     # --- tier 3: cores (built first so aggs can wire up) -------------
     cores: Dict[Tuple[int, int], Switch] = {}
@@ -83,7 +75,7 @@ def build_hpn(spec: HpnSpec = HpnSpec()) -> Topology:
                         pod=-1,
                         plane=plane,
                         chip_gbps=spec.tor_chip_gbps,
-                        hash_seed=seed(),
+                        hash_seed=next(seeds),
                     )
                 )
                 cores[(plane, c)] = sw
@@ -101,7 +93,7 @@ def build_hpn(spec: HpnSpec = HpnSpec()) -> Topology:
                         pod=pod,
                         plane=plane,
                         chip_gbps=spec.tor_chip_gbps,
-                        hash_seed=seed(),
+                        hash_seed=next(seeds),
                     )
                 )
                 aggs[(plane, a)] = sw
@@ -109,11 +101,7 @@ def build_hpn(spec: HpnSpec = HpnSpec()) -> Topology:
                 if spec.cores_per_plane:
                     for j in range(spec.agg_core_uplinks):
                         cidx = (a * spec.agg_core_uplinks + j) % spec.cores_per_plane
-                        up = topo.alloc_port(sw.name, TOR_UP_GBPS, PortKind.UP)
-                        down = topo.alloc_port(
-                            cores[(plane, cidx)].name, TOR_UP_GBPS, PortKind.DOWN
-                        )
-                        topo.wire(up.ref, down.ref)
+                        topo.connect(sw.name, cores[(plane, cidx)].name, TOR_UP_GBPS)
 
         # --- tier 1: segments ------------------------------------------
         for segment in range(spec.segments_per_pod):
@@ -130,18 +118,14 @@ def build_hpn(spec: HpnSpec = HpnSpec()) -> Topology:
                             plane=plane,
                             rail=rail,
                             chip_gbps=spec.tor_chip_gbps,
-                            hash_seed=seed(),
+                            hash_seed=next(seeds),
                         )
                     )
                     seg_tors[(rail, plane)] = sw
                     # ToR -> every agg in its plane
                     for a in range(spec.aggs_per_plane):
                         for _ in range(spec.tor_agg_links):
-                            up = topo.alloc_port(sw.name, TOR_UP_GBPS, PortKind.UP)
-                            down = topo.alloc_port(
-                                aggs[(plane, a)].name, TOR_UP_GBPS, PortKind.DOWN
-                            )
-                            topo.wire(up.ref, down.ref)
+                            topo.connect(sw.name, aggs[(plane, a)].name, TOR_UP_GBPS)
 
             # hosts (active + backup)
             total_hosts = spec.hosts_per_segment + spec.backup_hosts_per_segment
@@ -160,10 +144,7 @@ def build_hpn(spec: HpnSpec = HpnSpec()) -> Topology:
                 for nic in host.backend_nics():
                     for plane in (0, 1):
                         tor = seg_tors[(nic.rail, plane)]
-                        tor_port = topo.alloc_port(
-                            tor.name, spec.nic_gbps, PortKind.DOWN
-                        )
-                        topo.wire(nic.ports[plane], tor_port.ref)
+                        topo.attach(nic.ports[plane], tor.name, spec.nic_gbps)
 
     assign_addresses(topo)
     _check_port_budgets(topo, spec)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..core.addressing import assign_addresses
-from ..core.entities import PortKind, Switch, SwitchRole
+from ..core.entities import Switch, SwitchRole
 from ..core.topology import Topology
 from .spec import RailOnlySpec, TOR_UP_GBPS
 
@@ -61,11 +61,7 @@ def build_railonly(spec: RailOnlySpec) -> Topology:
                 seg_tors[(rail, side)] = sw
                 for a in range(spec.aggs_per_plane):
                     for _ in range(spec.tor_agg_links):
-                        up = topo.alloc_port(sw.name, TOR_UP_GBPS, PortKind.UP)
-                        down = topo.alloc_port(
-                            aggs[(rail, side, a)].name, TOR_UP_GBPS, PortKind.DOWN
-                        )
-                        topo.wire(up.ref, down.ref)
+                        topo.connect(sw.name, aggs[(rail, side, a)].name, TOR_UP_GBPS)
 
         for h in range(spec.hosts_per_segment):
             host = topo.build_host(
@@ -80,8 +76,7 @@ def build_railonly(spec: RailOnlySpec) -> Topology:
             for nic in host.backend_nics():
                 for side in (0, 1):
                     tor = seg_tors[(nic.rail, side)]
-                    tor_port = topo.alloc_port(tor.name, spec.nic_gbps, PortKind.DOWN)
-                    topo.wire(nic.ports[side], tor_port.ref)
+                    topo.attach(nic.ports[side], tor.name, spec.nic_gbps)
 
     assign_addresses(topo)
     return topo

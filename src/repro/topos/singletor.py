@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import List
 
 from ..core.addressing import assign_addresses
-from ..core.entities import PortKind, Switch, SwitchRole
+from ..core.entities import Switch, SwitchRole
 from ..core.topology import Topology
-from .spec import SingleTorSpec, TOR_UP_GBPS
+from .spec import SingleTorSpec, TOR_UP_GBPS, hash_seeds
 
 
 def tor_name(segment: int) -> str:
@@ -34,15 +34,7 @@ def build_singletor(spec: SingleTorSpec = SingleTorSpec()) -> Topology:
     topo.meta["spec"] = spec
     topo.meta["architecture"] = "singletor"
     topo.meta["planes"] = 1
-
-    seed_counter = 1
-
-    def seed() -> int:
-        nonlocal seed_counter
-        if spec.polarized_hashing:
-            return 0
-        seed_counter += 1
-        return seed_counter
+    seeds = hash_seeds(spec.polarized_hashing)
 
     aggs: List[Switch] = []
     if spec.segments > 1:
@@ -54,7 +46,7 @@ def build_singletor(spec: SingleTorSpec = SingleTorSpec()) -> Topology:
                         role=SwitchRole.AGG,
                         tier=2,
                         pod=0,
-                        hash_seed=seed(),
+                        hash_seed=next(seeds),
                     )
                 )
             )
@@ -67,14 +59,12 @@ def build_singletor(spec: SingleTorSpec = SingleTorSpec()) -> Topology:
                 tier=1,
                 pod=0,
                 segment=segment,
-                hash_seed=seed(),
+                hash_seed=next(seeds),
             )
         )
         for agg in aggs:
             for _ in range(spec.tor_agg_links):
-                up = topo.alloc_port(tor.name, TOR_UP_GBPS, PortKind.UP)
-                down = topo.alloc_port(agg.name, TOR_UP_GBPS, PortKind.DOWN)
-                topo.wire(up.ref, down.ref)
+                topo.connect(tor.name, agg.name, TOR_UP_GBPS)
 
         for h in range(spec.hosts_per_segment):
             host = topo.build_host(
@@ -87,8 +77,7 @@ def build_singletor(spec: SingleTorSpec = SingleTorSpec()) -> Topology:
                 nvlink_gbps=spec.nvlink_gbps,
             )
             for nic in host.backend_nics():
-                tor_port = topo.alloc_port(tor.name, spec.nic_gbps, PortKind.DOWN)
-                topo.wire(nic.ports[0], tor_port.ref)
+                topo.attach(nic.ports[0], tor.name, spec.nic_gbps)
 
     assign_addresses(topo)
     return topo

@@ -10,6 +10,8 @@ optimization, oversubscription ratios) intact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from typing import Iterator
 
 from ..core.errors import SpecError
 
@@ -20,6 +22,15 @@ TOR_UP_GBPS = 400.0
 #: the 51.2 Tbps chip: 128 x 400G equivalent
 CHIP_51T_GBPS = 51200.0
 CHIP_25T_GBPS = 25600.0
+
+
+def hash_seeds(polarized: bool) -> Iterator[int]:
+    """Per-switch ECMP hash seeds, in switch creation order.
+
+    Polarized fabrics model identical ASICs: every switch shares seed 0.
+    Otherwise each switch gets its own seed, counting up from 2.
+    """
+    return repeat(0) if polarized else count(2)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..core.addressing import assign_addresses
-from ..core.entities import PortKind, Switch, SwitchRole
+from ..core.entities import Switch, SwitchRole
 from ..core.errors import SpecError
 from ..core.topology import Topology
-from .spec import TOR_UP_GBPS
+from .spec import TOR_UP_GBPS, hash_seeds
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,14 @@ def build_threetier(spec: ThreeTierSpec) -> Topology:
     topo.meta["spec"] = spec
     topo.meta["architecture"] = "threetier"
     topo.meta["planes"] = 1
-
-    seed_counter = 1
-
-    def seed() -> int:
-        nonlocal seed_counter
-        if spec.polarized_hashing:
-            return 0
-        seed_counter += 1
-        return seed_counter
+    seeds = hash_seeds(spec.polarized_hashing)
 
     cores: List[Switch] = []
     for c in range(spec.cores):
         cores.append(
             topo.add_switch(
                 Switch(name=f"core/c{c}", role=SwitchRole.CORE, tier=3,
-                       pod=-1, hash_seed=seed())
+                       pod=-1, hash_seed=next(seeds))
             )
         )
 
@@ -92,14 +84,12 @@ def build_threetier(spec: ThreeTierSpec) -> Topology:
         for sp in range(spec.spines_per_pod):
             sw = topo.add_switch(
                 Switch(name=f"pod{pod}/spine{sp}", role=SwitchRole.AGG,
-                       tier=2, pod=pod, hash_seed=seed())
+                       tier=2, pod=pod, hash_seed=next(seeds))
             )
             spines.append(sw)
             for core in cores:
                 for _ in range(spec.spine_core_links):
-                    up = topo.alloc_port(sw.name, TOR_UP_GBPS, PortKind.UP)
-                    down = topo.alloc_port(core.name, TOR_UP_GBPS, PortKind.DOWN)
-                    topo.wire(up.ref, down.ref)
+                    topo.connect(sw.name, core.name, TOR_UP_GBPS)
 
         for segment in range(spec.segments_per_pod):
             leaves: Dict[int, Switch] = {}
@@ -108,15 +98,13 @@ def build_threetier(spec: ThreeTierSpec) -> Topology:
                     Switch(
                         name=f"pod{pod}/seg{segment}/leaf-r{rail}",
                         role=SwitchRole.TOR, tier=1, pod=pod,
-                        segment=segment, rail=rail, hash_seed=seed(),
+                        segment=segment, rail=rail, hash_seed=next(seeds),
                     )
                 )
                 leaves[rail] = leaf
                 for spine in spines:
                     for _ in range(spec.leaf_spine_links):
-                        up = topo.alloc_port(leaf.name, TOR_UP_GBPS, PortKind.UP)
-                        down = topo.alloc_port(spine.name, TOR_UP_GBPS, PortKind.DOWN)
-                        topo.wire(up.ref, down.ref)
+                        topo.connect(leaf.name, spine.name, TOR_UP_GBPS)
 
             for h in range(spec.hosts_per_segment):
                 host = topo.build_host(
@@ -125,10 +113,7 @@ def build_threetier(spec: ThreeTierSpec) -> Topology:
                     num_gpus=spec.gpus_per_host, nic_gbps=spec.nic_gbps,
                 )
                 for nic in host.backend_nics():
-                    leaf_port = topo.alloc_port(
-                        leaves[nic.rail].name, spec.nic_gbps, PortKind.DOWN
-                    )
-                    topo.wire(nic.ports[0], leaf_port.ref)
+                    topo.attach(nic.ports[0], leaves[nic.rail].name, spec.nic_gbps)
 
     assign_addresses(topo)
     return topo

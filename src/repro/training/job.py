@@ -63,11 +63,6 @@ class TrainingJob:
     def samples_per_sec(self) -> float:
         return self.iteration().samples_per_sec
 
-    def refresh_connections(self) -> None:
-        """Re-establish connections after a topology/link-state change."""
-        if self._comm is not None:
-            self._comm.invalidate_connections()
-
     # ------------------------------------------------------------------
     def segments_spanned(self) -> int:
         """How many (pod, segment) blocks the job occupies."""

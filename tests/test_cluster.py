@@ -54,9 +54,3 @@ def test_train_places_automatically():
     job = c.train(LLAMA_7B, ParallelismPlan(tp=8, pp=1, dp=4))
     assert len(job.placement.hosts) == 4
     assert job.samples_per_sec() > 0
-
-
-def test_refresh_routing_rebuilds(cluster):
-    before = cluster.router
-    cluster.refresh_routing()
-    assert cluster.router is not before

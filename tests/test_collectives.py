@@ -25,7 +25,7 @@ from repro.collective.lb import Connection
 from repro.collective.model import GpuBoxProfile, allreduce_busbw
 from repro.core.errors import CollectiveError
 from repro.core.units import GB, MB
-from repro.routing import Router, mutually_disjoint
+from repro.routing import Router, mutually_disjoint, shared_router
 from repro.routing.path import FlowPath
 
 
@@ -252,13 +252,19 @@ class TestCommunicator:
         with pytest.raises(CollectiveError):
             Communicator(hpn_small, hpn_router, ["pod0/seg0/host0"] * 2)
 
-    def test_connection_cache_and_invalidate(self, hpn_small, hpn_router):
-        comm = Communicator(hpn_small, hpn_router, _hosts(2))
+    def test_connection_cache_and_invalidate(self, hpn_mutable):
+        comm = Communicator(hpn_mutable, shared_router(hpn_mutable), _hosts(2))
         c1 = comm.connections("pod0/seg0/host0", "pod0/seg0/host1", 0)
         c2 = comm.connections("pod0/seg0/host0", "pod0/seg0/host1", 0)
         assert c1 is c2
-        comm.invalidate_connections()
-        assert comm.connections("pod0/seg0/host0", "pod0/seg0/host1", 0) is not c1
+        # a link flap moves the state epoch: the memo is dropped, and
+        # the restored fabric re-establishes the same connections
+        hpn_mutable.set_link_state(0, False)
+        hpn_mutable.set_link_state(0, True)
+        c3 = comm.connections("pod0/seg0/host0", "pod0/seg0/host1", 0)
+        assert c3 is not c1
+        assert [(c.sport, c.path.dirlinks) for c in c3] == [
+            (c.sport, c.path.dirlinks) for c in c1]
 
     def test_edge_flows_sum_to_volume(self, hpn_small, hpn_router):
         comm = Communicator(hpn_small, hpn_router, _hosts(2))

@@ -8,7 +8,6 @@ from repro.core.errors import RoutingError, SimulationError
 from repro.core.units import GB, MB
 from repro.fabric import Flow, FluidSimulator
 from repro.routing import FiveTuple, Router
-from repro.routing.perport import select_core_egress
 
 
 @pytest.fixture()
@@ -24,8 +23,8 @@ def two_pod():
 
 class TestMultiPodFailover:
     def test_core_link_failure_falls_back_to_tuple_hash(self, two_pod):
-        """Section 7: per-port core hashing falls back to 5-tuple ECMP
-        when the preferred link is down."""
+        """Section 7: when the core's per-port pick is down, the core
+        re-picks (ingress port + dst pod) over its live egresses."""
         router = Router(two_pod, per_port_core_hash=True)
         a = two_pod.hosts["pod0/seg0/host0"].nic_for_rail(0)
         b = two_pod.hosts["pod1/seg0/host0"].nic_for_rail(0)
@@ -60,17 +59,6 @@ class TestMultiPodFailover:
         b = two_pod.hosts["pod0/seg0/host1"].nic_for_rail(0)
         path = router.path_for(a, b, FiveTuple(a.ip, b.ip, 1, 2), plane=0)
         assert path.hops == 2
-
-    def test_select_core_egress_raises_when_all_dead(self, two_pod):
-        # craft a candidates list of dead links
-        dead = [l for l in two_pod.links.values()][:3]
-        for l in dead:
-            l.up = False
-        ports = [two_pod.port(l.a) for l in dead]
-        with pytest.raises(ValueError):
-            select_core_egress(
-                list(zip(ports, dead)), 0, 1, FiveTuple("a", "b", 1, 2), 0
-            )
 
 
 class TestAggResilience:

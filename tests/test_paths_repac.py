@@ -14,7 +14,6 @@ from repro.routing import (
     max_disjoint_paths,
     measured_complexity,
     mutually_disjoint,
-    per_port_index,
     table1,
 )
 from repro.topos import table1_cards
@@ -122,8 +121,3 @@ class TestComplexity:
             hpn_small, "pod0/seg0/host0", "pod0/seg1/host0", router=hpn_router
         )
         assert measured == 4  # == aggs_per_plane at this scale
-
-    def test_per_port_index_properties(self):
-        assert per_port_index(3, 5, 8) == (3 + 5) % 8
-        with pytest.raises(ValueError):
-            per_port_index(0, 0, 0)

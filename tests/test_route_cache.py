@@ -394,11 +394,8 @@ class TestBatchAndSharing:
         router = shared_router(topo)
         assert isinstance(router, CachedRouter)
         assert shared_router(topo) is router
-        # a different hash mode gets its own instance
-        other = shared_router(topo, per_port_core_hash=False)
-        assert other is not router
         fresh = reset_shared_router(topo)
-        assert fresh is not other and shared_router(topo) is fresh
+        assert fresh is not router and shared_router(topo) is fresh
 
     def test_route_many_dedupes_within_batch(self, hpn_mutable):
         """Satellite: duplicate requests in one batch miss exactly once."""

@@ -20,6 +20,7 @@ import repro
 from repro.core.units import GB, MB
 from repro.engine import Runner, get_experiment
 from repro.fabric import Flow, FluidSimulator, SolverEquivalence
+from repro.obs import Recorder
 from repro.routing import FiveTuple
 from repro.staticcheck.semantics import ProjectIndex
 from repro.workloads.reference import (
@@ -167,7 +168,7 @@ class TestGoldenBytes:
     a mismatch is a numerical change in the engine, never noise.
     """
 
-    def _check(self, name: str) -> None:
+    def _check(self, name: str, recorder=None) -> None:
         case = json.loads(GOLDEN.read_text())[name]
         if name == "multipod":
             topo, flows, events, _meta = build_multipod_workload(
@@ -175,7 +176,7 @@ class TestGoldenBytes:
         else:
             topo, flows, events = build_reference_workload(
                 case["params"], case["seed"])
-        sim = FluidSimulator(topo)
+        sim = FluidSimulator(topo, recorder=recorder)
         sim.add_flows(flows)
         for t, lid, up in events:
             sim.schedule(
@@ -190,15 +191,16 @@ class TestGoldenBytes:
             f"{len(diff)} of {len(want)} finishes differ; first at "
             f"position {diff[0]}: {got[diff[0]]} != {want[diff[0]]}"
         )
-        return sim
 
     def test_reference_workload(self):
         """The reference shape at 8 hosts and seed 7: 1,024 flows."""
-        sim = self._check("reference")
+        rec = Recorder()
+        self._check("reference", rec)
         # the dirty-set machinery engages rather than re-solving every
         # component at every boundary
-        stats = sim._solver.stats
-        assert stats.incremental_solves > stats.full_solves
+        m = rec.metrics
+        assert (m.counter("sim.incremental_solves").value
+                > m.counter("sim.full_solves").value)
 
     def test_multipod_workload(self):
         """A 3-Pod PP job at seed 42: 320 flows, large components."""

@@ -79,6 +79,55 @@ def test_link_rate_defaults_to_min_port_speed(topo):
     assert topo.wire(a.ref, b.ref).gbps == 200.0
 
 
+def test_connect_lays_up_port_to_down_port(topo):
+    epoch = topo.structure_epoch
+    link = topo.connect("tor0", "tor1", 400.0)
+    up, down = topo.port(link.a), topo.port(link.b)
+    assert (link.a.node, link.b.node) == ("tor0", "tor1")
+    assert (up.kind, down.kind) == (PortKind.UP, PortKind.DOWN)
+    assert up.link_id == down.link_id == link.link_id
+    assert topo.links[link.link_id] is link
+    assert link.gbps == up.gbps == down.gbps == 400.0
+    assert topo.structure_epoch == epoch + 1
+    again = topo.connect("tor0", "tor1", 400.0)
+    assert again.link_id == link.link_id + 1
+    assert (again.a.index, again.b.index) == (link.a.index + 1, link.b.index + 1)
+    assert topo.structure_epoch == epoch + 2
+
+
+def test_attach_wires_nic_port_to_new_down_port(topo):
+    nic = topo.hosts["h0"].nic_for_rail(0)
+    epoch = topo.structure_epoch
+    link = topo.attach(nic.ports[1], "tor1", 200.0)
+    assert link.a == nic.ports[1]
+    down = topo.port(link.b)
+    assert (link.b.node, down.kind) == ("tor1", PortKind.DOWN)
+    assert topo.port(nic.ports[1]).link_id == down.link_id == link.link_id
+    assert topo.structure_epoch == epoch + 1
+    assert topo.tor_for_nic_port("h0", nic.index, 1) == "tor1"
+    # the link runs at the slower end
+    assert topo.attach(nic.ports[0], "tor0", 400.0).gbps == 200.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: t.connect("nope", "tor1", 400.0),
+    lambda t: t.connect("tor0", "nope", 400.0),
+    lambda t: t.attach(t.hosts["h0"].nic_for_rail(0).ports[0], "nope", 200.0),
+])
+def test_connect_and_attach_refuse_unknown_nodes(topo, call):
+    with pytest.raises(TopologyError, match="unknown node"):
+        call(topo)
+    assert not topo.links and topo.structure_epoch == 0
+
+
+def test_attach_refuses_a_wired_nic_port(topo):
+    nic = topo.hosts["h0"].nic_for_rail(0)
+    topo.attach(nic.ports[0], "tor0", 200.0)
+    with pytest.raises(TopologyError, match="already wired"):
+        topo.attach(nic.ports[0], "tor1", 200.0)
+    assert len(topo.links) == topo.structure_epoch == 1
+
+
 def test_link_between_finds_parallel_links(topo):
     for _ in range(3):
         a = topo.alloc_port("tor0", 400.0, PortKind.UP)

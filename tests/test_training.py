@@ -184,7 +184,6 @@ class TestJob:
         base = job.samples_per_sec()
         nic = hpn_mutable.hosts[hosts[0]].nic_for_rail(0)
         hpn_mutable.set_link_state(hpn_mutable.port(nic.ports[0]).link_id, False)
-        job.refresh_connections()
         assert job.samples_per_sec() < base
 
 
