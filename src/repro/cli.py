@@ -4,19 +4,27 @@ Commands:
 
 * ``build``      -- build an architecture, print its inventory, and
                     optionally save it to JSON;
-* ``validate``   -- load (or build) a topology and run the invariants
-                    plus the INT wiring check;
+* ``check``      -- the one static-analysis gate: run the TOPO/WIRE/FWD
+                    rules over a loaded (or built) fabric and the
+                    LINT/SEM rules over a source tree, into one report
+                    (text, JSON or SARIF) and one exit code;
 * ``complexity`` -- print Table 1 (path-selection search space);
+* ``route``      -- route sample flows through the cached forwarding
+                    plane and print paths or route-cache counters;
+* ``serve``      -- the what-if routing daemon over HTTP;
 * ``train``      -- simulate one training iteration of a named model;
 * ``inject``     -- run the Figure-18 fault drill and print the
                     throughput timeline;
+* ``fleet``      -- multi-job fleet simulation (churn / interference);
 * ``exp``        -- the experiment engine: ``exp list`` (catalogue),
                     ``exp run`` (schedule a cached, seeded batch over
                     the serial or process backend), ``exp compare``
                     (diff two run manifests ignoring timing);
 * ``trace``      -- run one experiment under the observability
                     recorder and export Chrome-trace / metrics /
-                    events artifacts (open the trace in Perfetto).
+                    events artifacts (open the trace in Perfetto);
+* ``health``     -- run an experiment under the health engine (or
+                    replay a trace dir) and report incidents.
 
 The CLI exists so the library is usable without writing Python; every
 command is a thin veneer over the public API.
@@ -32,11 +40,15 @@ from typing import List, Optional
 from . import __version__
 from .cluster import Cluster
 from .core.serialize import load_topology, save_topology
+from .core.topology import Topology
 from .routing import table1
 from .topos import (
     DcnPlusSpec,
     HpnSpec,
     SingleTorSpec,
+    build_dcnplus,
+    build_hpn,
+    build_singletor,
     table1_cards,
 )
 from .viz import render_oversubscription, render_summary, render_tiers
@@ -44,22 +56,21 @@ from .viz import render_oversubscription, render_summary, render_tiers
 _MODELS = {"llama-7b": "LLAMA_7B", "llama-13b": "LLAMA_13B", "gpt3-175b": "GPT3_175B"}
 
 
-def _build_cluster(args: argparse.Namespace) -> Cluster:
+def _build_topology(args: argparse.Namespace) -> Topology:
+    """The fabric the ``--arch`` options describe, with no router yet."""
     if args.arch == "hpn":
-        spec = HpnSpec(
+        return build_hpn(HpnSpec(
             segments_per_pod=args.segments,
             hosts_per_segment=args.hosts,
             backup_hosts_per_segment=args.backup_hosts,
             aggs_per_plane=args.aggs,
-        )
-        return Cluster.hpn(spec)
+        ))
     if args.arch == "dcnplus":
-        spec = DcnPlusSpec(
+        return build_dcnplus(DcnPlusSpec(
             pods=1, segments_per_pod=args.segments, hosts_per_segment=args.hosts
-        )
-        return Cluster.dcnplus(spec)
+        ))
     if args.arch == "singletor":
-        return Cluster.singletor(
+        return build_singletor(
             SingleTorSpec(segments=args.segments, hosts_per_segment=args.hosts)
         )
     raise SystemExit(f"unknown architecture {args.arch!r}")
@@ -74,125 +85,25 @@ def _add_build_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    cluster = _build_cluster(args)
-    print(render_summary(cluster.topo))
-    print(render_tiers(cluster.topo))
-    print(render_oversubscription(cluster.topo))
+    topo = _build_topology(args)
+    print(render_summary(topo))
+    print(render_tiers(topo))
+    print(render_oversubscription(topo))
     if args.output:
-        save_topology(cluster.topo, args.output)
+        save_topology(topo, args.output)
         print(f"saved to {args.output}")
     return 0
 
 
-def _print_validate_text(report, topo) -> None:
-    """Classic staged text output over the collecting report."""
-    from .staticcheck import Severity
-
-    print(render_summary(topo))
-    errors = report.errors
-    invariant = [d for d in errors if d.rule_id.startswith("TOPO")]
-    wiring = [d for d in errors if d.rule_id.startswith("WIRE")]
-    forwarding = [d for d in errors if d.rule_id.startswith("FWD")]
-    if invariant:
-        print(f"INVARIANT VIOLATIONS ({len(invariant)}):")
-        for d in invariant:
-            print(f"  {d.render()}")
-    if wiring:
-        print(f"WIRING FAULTS ({len(wiring)}):")
-        for d in wiring:
-            print(f"  {d.render()}")
-    if forwarding:
-        print(f"FORWARDING VIOLATIONS ({len(forwarding)}):")
-        for d in forwarding[:10]:
-            print(f"  {d.render()}")
-        if len(forwarding) > 10:
-            print(f"  ... and {len(forwarding) - 10} more")
-    warnings = report.warnings
-    if warnings:
-        print(f"WARNINGS ({len(warnings)}):")
-        for d in warnings:
-            print(f"  {d.render()}")
-    if not errors:
-        flows = report.stats.get("fwd_flows_walked", 0)
-        print(
-            "all invariants hold; wiring matches the blueprint; "
-            f"{flows} probe flows delivered loop-free"
-        )
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    if args.input:
-        try:
-            topo = load_topology(args.input)
-        except OSError as exc:
-            print(f"error: cannot read topology {args.input!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        topo = _build_cluster(args).topo
-    from .staticcheck import run_topology_rules
-
-    fwd_kwargs = {"max_pairs": args.probe_pairs}
-    if args.all:
-        # one exhaustive pass: structural rules + wiring sweep +
-        # forwarding walks, every diagnostic collected in one report
-        report = run_topology_rules(
-            topo, include_expensive=True, forwarding_kwargs=fwd_kwargs
-        )
-    else:
-        # staged classic behavior: cheap structural rules gate the
-        # expensive blueprint/forwarding analyses
-        report = run_topology_rules(topo)
-        if report.ok:
-            report = run_topology_rules(
-                topo, include_expensive=True, forwarding_kwargs=fwd_kwargs
-            )
-    if args.format == "text":
-        _print_validate_text(report, topo)
-    else:
-        from .staticcheck import all_rules, render_report
-
-        print(render_report(report, args.format, rules=all_rules()))
-    return report.exit_code(strict=args.strict)
-
-
-def _print_rule_catalogue() -> None:
-    from .staticcheck import all_rules
-
-    for info in all_rules():
-        print(f"{info.rule_id:<9} {info.severity.value:<8} {info.title}"
-              f"{'  [expensive]' if info.expensive else ''}")
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    from .staticcheck import all_rules, lint_paths, render_report
-
-    if args.list_rules:
-        _print_rule_catalogue()
-        return 0
-    rule_ids = None
-    if args.rules:
-        from .staticcheck import AST_RULES
-
-        rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
-        unknown = sorted(set(rule_ids) - set(AST_RULES))
-        if unknown:
-            known = ", ".join(sorted(AST_RULES))
-            print(f"error: unknown lint rule id(s): {', '.join(unknown)} "
-                  f"(known: {known})", file=sys.stderr)
-            return 2
-    report = lint_paths(args.paths, rule_ids=rule_ids)
-    print(render_report(report, args.format, rules=all_rules()))
-    return report.exit_code(strict=args.strict)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    """The unified gate: every rule family, one report, one exit code."""
+    """The static-analysis gate: every rule family, one report, one exit code."""
     from .staticcheck import FAMILIES, all_rules, render_report, run_check
     from .staticcheck.semantics import Baseline
 
     if args.list_rules:
-        _print_rule_catalogue()
+        for info in all_rules():
+            print(f"{info.rule_id:<9} {info.severity.value:<8} {info.title}"
+                  f"{'  [expensive]' if info.expensive else ''}")
         return 0
     families = None
     if args.family:
@@ -214,7 +125,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 2
         else:
-            topo = _build_cluster(args).topo
+            topo = _build_topology(args)
     baseline = Baseline.load(args.baseline)
     report = run_check(
         families=families,
@@ -251,7 +162,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
     from .routing import FiveTuple
 
-    cluster = _build_cluster(args)
+    cluster = Cluster(_build_topology(args))
     router = cluster.router  # the shared CachedRouter
     topo = cluster.topo
     hosts = sorted(h.name for h in topo.active_hosts())
@@ -305,7 +216,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     from . import training
 
-    cluster = _build_cluster(args)
+    cluster = Cluster(_build_topology(args))
     config = getattr(training, _MODELS[args.model])
     hosts = cluster.place(args.job_hosts)
     plan = training.ParallelismPlan(tp=8, pp=args.pp, dp=args.job_hosts * 8 // (8 * args.pp))
@@ -324,7 +235,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     from . import training
     from .reliability import FaultInjector, link_failure_scenario
 
-    cluster = _build_cluster(args)
+    cluster = Cluster(_build_topology(args))
     config = getattr(training, _MODELS[args.model])
     hosts = cluster.place(args.job_hosts)
     plan = training.ParallelismPlan(tp=8, pp=1, dp=args.job_hosts)
@@ -629,11 +540,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.input:
         topo = load_topology(args.input)
     else:
-        topo = _build_cluster(args).topo
+        topo = _build_topology(args)
     recorder = Recorder()
-    # fresh=True: _build_cluster already installed a recorder-less
-    # shared router; the daemon wants its cache counters in /metrics
-    state = ServeState(topo, recorder=recorder, fresh=True)
+    # the first shared_router() call on topo: the live router reports
+    # its cache counters to the daemon's /metrics
+    state = ServeState(topo, recorder=recorder)
     daemon = ServeDaemon(
         state,
         host=args.host,
@@ -677,32 +588,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_build_args(p)
     p.add_argument("--output", "-o", help="save the topology as JSON")
     p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("validate", help="check invariants, wiring, forwarding")
-    _add_build_args(p)
-    p.add_argument("--input", "-i", help="load a topology JSON instead of building")
-    p.add_argument("--probe-pairs", type=int, default=32,
-                   help="host pairs to probe in the forwarding check")
-    p.add_argument("--all", action="store_true",
-                   help="run every analyzer family in one pass and report "
-                        "all diagnostics (no staged early exit)")
-    p.add_argument("--format", choices=["text", "json", "sarif"],
-                   default="text")
-    p.add_argument("--strict", action="store_true",
-                   help="warnings also fail the gate")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("lint", help="run codebase AST lint rules (LINT*)")
-    p.add_argument("paths", nargs="*", default=["src/repro"],
-                   help="files or directories to lint (default: src/repro)")
-    p.add_argument("--format", choices=["text", "json", "sarif"],
-                   default="text")
-    p.add_argument("--strict", action="store_true",
-                   help="warnings also fail the gate")
-    p.add_argument("--rules", help="comma-separated rule ids to run")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the full rule catalogue and exit")
-    p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(
         "check",

@@ -35,7 +35,7 @@ def reduce_scatter(comm: Communicator, size_bytes: float) -> CollectiveResult:
         inter = run_flows(comm.topo, flows).finish_time \
             + profile.ring_latency_seconds(h) / 2
     result = CollectiveResult(
-        op="allgather",  # same (n-1)/n busbw normalization
+        op="reducescatter",  # busbw: the (n-1)/n AllGather normalization
         size_bytes=size_bytes,
         world_size=comm.world_size,
         intra_seconds=intra,

@@ -36,7 +36,10 @@ def topology_to_dict(topo: Topology) -> Dict[str, Any]:
     """Serialize a topology into a JSON-safe dict."""
     spec = topo.meta.get("spec")
     meta = {k: v for k, v in topo.meta.items() if k != "spec"}
-    if spec is not None:
+    if isinstance(spec, dict):
+        # a loaded topology keeps its spec in the serialized form
+        meta["spec"] = spec
+    elif spec is not None:
         meta["spec"] = {"type": type(spec).__name__, "fields": asdict(spec)}
     return {
         "schema": SCHEMA_VERSION,
@@ -229,9 +232,14 @@ def topology_from_json(text: str) -> Topology:
 
 
 def save_topology(topo: Topology, path: str) -> None:
-    """Write a topology to a JSON file."""
+    """Write a topology to a JSON file.
+
+    The JSON is built before the file is opened, so a topology that
+    cannot be serialized leaves an existing file as it was.
+    """
+    text = topology_to_json(topo)
     with open(path, "w") as fh:
-        json.dump(topology_to_dict(topo), fh)
+        fh.write(text)
 
 
 def load_topology(path: str) -> Topology:

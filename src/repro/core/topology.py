@@ -142,16 +142,30 @@ class Topology:
 
     def connect(self, lower: str, upper: str, gbps: float) -> Link:
         """Lay one switch-to-switch link: a new UP port on ``lower``
-        wired to a new DOWN port on ``upper``, both at ``gbps``."""
+        wired to a new DOWN port on ``upper``, both at ``gbps``.
+
+        A refused call leaves ``ports`` and ``structure_epoch`` as they
+        were."""
         up = self.alloc_port(lower, gbps, PortKind.UP)
-        down = self.alloc_port(upper, gbps, PortKind.DOWN)
+        try:
+            down = self.alloc_port(upper, gbps, PortKind.DOWN)
+        except TopologyError:
+            self.ports[lower].pop()
+            raise
         return self.wire(up.ref, down.ref)
 
     def attach(self, nic_port: PortRef, switch: str, gbps: float) -> Link:
         """Wire an existing host NIC port to a new DOWN port on
-        ``switch`` at ``gbps``; the link runs at the slower of the two."""
+        ``switch`` at ``gbps``; the link runs at the slower of the two.
+
+        A refused call leaves ``ports`` and ``structure_epoch`` as they
+        were."""
         down = self.alloc_port(switch, gbps, PortKind.DOWN)
-        return self.wire(nic_port, down.ref)
+        try:
+            return self.wire(nic_port, down.ref)
+        except (TopologyError, LookupError):
+            self.ports[switch].pop()
+            raise
 
     def link_between(self, node_a: str, node_b: str) -> List[Link]:
         """All (possibly parallel) links between two nodes."""

@@ -9,15 +9,16 @@ router, and certify that
 * hop counts stay within the architecture's diameter;
 * plane-isolated fabrics never leak a flow across planes.
 
-Returns a :class:`ForwardingReport`; `ok` is the single go/no-go bit
-the CLI's ``validate`` could gate deployments on.
+Returns a :class:`ForwardingReport`. The FWD rules of
+:mod:`repro.staticcheck.topo_rules` turn its violations into
+diagnostics, so ``repro check`` gates on it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.errors import RoutingError
 from ..core.topology import Topology
@@ -27,14 +28,6 @@ from .hashing import FiveTuple
 #: host-tor-agg-core-agg-tor-host
 MAX_DIAMETER_HOPS = 6
 
-#: staticcheck rule id for each violation kind (shared diagnostic model)
-VIOLATION_RULE_IDS = {
-    "loop": "FWD001",
-    "blackhole": "FWD002",
-    "diameter": "FWD003",
-    "plane-leak": "FWD004",
-}
-
 
 @dataclass
 class ForwardingViolation:
@@ -42,10 +35,6 @@ class ForwardingViolation:
     src: str
     dst: str
     detail: str
-
-    @property
-    def rule_id(self) -> str:
-        return VIOLATION_RULE_IDS.get(self.kind, "FWD000")
 
 
 @dataclass
@@ -58,29 +47,6 @@ class ForwardingReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_diagnostics(self):
-        """Project the walk results into ``repro.staticcheck`` diagnostics.
-
-        Returns a :class:`repro.staticcheck.Report` so forwarding
-        verification composes with the topology analyzers in one gate.
-        """
-        from ..staticcheck import Diagnostic, Location, Report, Severity
-
-        report = Report()
-        report.stats["pairs_checked"] = self.pairs_checked
-        report.stats["flows_walked"] = self.flows_walked
-        report.stats["unreachable_pairs"] = self.unreachable_pairs
-        for v in self.violations:
-            report.add(
-                Diagnostic(
-                    rule_id=v.rule_id,
-                    severity=Severity.ERROR,
-                    message=f"{v.src} -> {v.dst}: {v.detail}",
-                    location=Location(obj=f"{v.src}->{v.dst}"),
-                )
-            )
-        return report
 
 
 def verify_forwarding(

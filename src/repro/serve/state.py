@@ -32,7 +32,6 @@ from ..routing import (
     CachedRouter,
     FiveTuple,
     find_paths,
-    reset_shared_router,
     shared_router,
 )
 from .query import Query, QueryError
@@ -43,18 +42,16 @@ Result = Dict[str, Any]
 class ServeState:
     """Warm routing/solver state shared by every request.
 
-    ``fresh=True`` installs a cold shared router, so its cache counters
-    start at zero and report to ``recorder`` (``repro serve`` uses it
-    to put the live router's counters in ``/metrics``).
+    The live router is the topology's :func:`~repro.routing.shared_router`.
+    ``recorder`` reaches its cache counters only when this call creates
+    it, so ``repro serve`` builds the topology without a router and the
+    live router's counters land in ``/metrics``.
     """
 
-    def __init__(self, topo: Topology, recorder=None, fresh: bool = False):
+    def __init__(self, topo: Topology, recorder=None):
         self.topo = topo
         self.recorder = recorder
-        if fresh:
-            self.router = reset_shared_router(topo, recorder=recorder)
-        else:
-            self.router = shared_router(topo, recorder=recorder)
+        self.router = shared_router(topo, recorder=recorder)
         # What-if probes run against this router, never the live one:
         # its caches absorb the probe-window churn (and stay useful
         # across repeated failure sets thanks to net-change

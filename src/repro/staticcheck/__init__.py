@@ -3,29 +3,30 @@
 Three analyzer families behind one registry and one diagnostic model:
 
 * **topology/config rules** (``TOPO*``/``WIRE*``/``FWD*``) -- collecting
-  invariant checks over a live or serialized
-  :class:`~repro.core.topology.Topology`;
+  invariant checks over a :class:`~repro.core.topology.Topology`, built
+  in-process or loaded from JSON;
 * **codebase lint rules** (``LINT*``) -- per-file AST hygiene checks
   over the simulator's own sources;
 * **semantic rules** (``SEM*``) -- project-wide contracts (epoch
   discipline, engine determinism, cache coherence, layering) over the
   whole-tree :class:`~repro.staticcheck.semantics.ProjectIndex`.
 
-Entry points: :func:`analyze_topology`, :func:`lint_paths`,
-:func:`repro.staticcheck.semantics.analyze_project`, and the unified
-:func:`run_check` behind the ``repro check`` CLI. See
-``docs/static_analysis.md`` for the rule catalogue and suppression
-syntax.
+The one entry point is :func:`run_check`, behind the ``repro check``
+CLI: it runs the requested families into one report. Its building
+blocks stay public for callers that hold one family's input:
+:func:`run_topology_rules` (a live topology), :func:`lint_paths`
+(files) and :func:`repro.staticcheck.semantics.run_semantic_rules`
+(a project index). See ``docs/static_analysis.md`` for the rule
+catalogue and suppression syntax.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .semantics import Baseline
 
-from ..core.serialize import load_topology, topology_from_dict
 from ..core.topology import Topology
 from .ast_rules import LintRule, lint_paths, lint_source
 from .diagnostics import (
@@ -53,31 +54,6 @@ from .registry import (
 from .topo_rules import TopoContext, resolve_spec, run_topology_rules
 
 
-def analyze_topology(
-    topo: Union[Topology, Dict, str],
-    include_expensive: bool = False,
-    rule_ids: Optional[Sequence[str]] = None,
-    forwarding_kwargs: Optional[Dict[str, object]] = None,
-) -> Report:
-    """Run the topology analyzers over a live or serialized fabric.
-
-    ``topo`` may be a :class:`Topology`, a dict produced by
-    :func:`repro.core.serialize.topology_to_dict`, or a path to a
-    topology JSON file. ``include_expensive=True`` adds the blueprint
-    wiring sweep and the forwarding walks (``WIRE*``/``FWD*``).
-    """
-    if isinstance(topo, str):
-        topo = load_topology(topo)
-    elif isinstance(topo, dict):
-        topo = topology_from_dict(topo)
-    return run_topology_rules(
-        topo,
-        rule_ids=rule_ids,
-        include_expensive=include_expensive,
-        forwarding_kwargs=forwarding_kwargs,
-    )
-
-
 #: the topology-bound families within the unified gate
 _TOPOLOGY_FAMILIES = frozenset({"TOPO", "WIRE", "FWD"})
 
@@ -85,7 +61,7 @@ _TOPOLOGY_FAMILIES = frozenset({"TOPO", "WIRE", "FWD"})
 def run_check(
     families: Optional[Sequence[str]] = None,
     paths: Optional[Sequence[str]] = None,
-    topo: Optional[Union[Topology, Dict, str]] = None,
+    topo: Optional[Topology] = None,
     forwarding_kwargs: Optional[Dict[str, object]] = None,
     baseline: Optional["Baseline"] = None,
 ) -> Report:
@@ -115,7 +91,7 @@ def run_check(
         paths = [_repro.__path__[0]]
     report = Report()
     if wanted & _TOPOLOGY_FAMILIES and topo is not None:
-        topo_report = analyze_topology(
+        topo_report = run_topology_rules(
             topo,
             include_expensive=bool(wanted & {"WIRE", "FWD"}),
             forwarding_kwargs=forwarding_kwargs,
@@ -151,7 +127,6 @@ __all__ = [
     "Severity",
     "TopoContext",
     "all_rules",
-    "analyze_topology",
     "family_of",
     "get_rule",
     "lint_paths",

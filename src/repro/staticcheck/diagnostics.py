@@ -298,9 +298,9 @@ def render_report(
 ) -> str:
     """One renderer for every analyzer family and output format.
 
-    ``fmt`` is ``"text"`` | ``"json"`` | ``"sarif"``; every CLI entry
-    point (``validate``, ``lint``, ``check``) funnels through here so
-    formats never drift between families again.
+    ``fmt`` is ``"text"`` | ``"json"`` | ``"sarif"``; ``repro check``
+    renders every family through here, so formats never drift between
+    families.
     """
     if fmt == "json":
         return report.to_json()

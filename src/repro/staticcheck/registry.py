@@ -11,7 +11,7 @@ Rule ids are namespaced by family:
 
 * ``TOPO###`` -- structural topology invariants (cheap, always run);
 * ``WIRE###`` / ``FWD###`` -- deep wiring/forwarding analyses (sampled
-  walks; run by ``validate --all`` or on request);
+  walks; run when ``repro check`` asks for the WIRE or FWD family);
 * ``LINT###`` -- codebase AST hygiene rules (per-file);
 * ``SEM###`` -- project-wide semantic rules over the
   :class:`~repro.staticcheck.semantics.ProjectIndex` (import graph,

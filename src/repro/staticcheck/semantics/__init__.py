@@ -6,35 +6,21 @@ call graph, and attribute-assignment dataflow -- so it can check the
 cross-module contracts the incremental hot paths (PRs 4-5) rely on:
 epoch discipline, engine determinism, cache coherence, layering.
 
-Entry point::
+The gate runs this family as ``repro check --family SEM``
+(:func:`repro.staticcheck.run_check`). In-process, index the tree once
+and run the rules over it::
 
-    from repro.staticcheck.semantics import analyze_project
-    report = analyze_project(["src/repro"])
+    from repro.staticcheck.semantics import (
+        build_project_index, run_semantic_rules)
+    report = run_semantic_rules(build_project_index(["src/repro"]))
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..diagnostics import Report
 from .baseline import DEFAULT_BASELINE, Baseline, fingerprint, normalize_path
 from .callgraph import CallGraph, experiment_entry_points
 from .index import BACKEND_MARKER, ProjectIndex, build_project_index
 from .rules import SemContext, run_semantic_rules
-
-
-def analyze_project(
-    paths: Optional[Sequence[str]] = None,
-    rule_ids: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
-) -> Report:
-    """Index the tree once, run the SEM family, apply the baseline."""
-    index = build_project_index(paths)
-    report = run_semantic_rules(index, rule_ids=rule_ids)
-    if baseline is not None:
-        baseline.apply(report)
-    return report
-
 
 __all__ = [
     "BACKEND_MARKER",
@@ -43,7 +29,6 @@ __all__ = [
     "DEFAULT_BASELINE",
     "ProjectIndex",
     "SemContext",
-    "analyze_project",
     "build_project_index",
     "experiment_entry_points",
     "fingerprint",

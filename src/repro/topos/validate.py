@@ -1,50 +1,35 @@
-"""Topology invariant checks (thin wrappers over ``repro.staticcheck``).
+"""Topology invariants, raise-first, plus the oversubscription report.
 
-The collecting analyzers live in :mod:`repro.staticcheck.topo_rules`;
-this module keeps the historical raise-on-first API: ``validate(topo)``
-runs every structural rule appropriate for the architecture and raises
-:class:`~repro.core.errors.TopologyError` on the first error-severity
-finding. Use :func:`repro.staticcheck.analyze_topology` (or the CLI's
-``repro validate --all``) to see *every* violation in one pass.
+The collecting analyzers live in :mod:`repro.staticcheck.topo_rules`.
+``validate(topo)`` runs every structural rule appropriate for the
+architecture and raises :class:`~repro.core.errors.TopologyError` on
+the first error-severity finding. To see *every* violation in one
+pass, call :func:`repro.staticcheck.run_topology_rules` or run
+``repro check --family TOPO,WIRE,FWD``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..core.entities import PortKind
 from ..core.errors import TopologyError
 from ..core.topology import Topology
 
 
-def _raise_first(topo: Topology,
-                 rule_ids: Optional[List[str]] = None) -> None:
-    from ..staticcheck import run_topology_rules
-
-    report = run_topology_rules(topo, rule_ids=rule_ids)
-    errors = report.errors
-    if errors:
-        raise TopologyError(errors[0].message)
-
-
 def validate(topo: Topology) -> None:
     """Run all structural invariants for ``topo``; raise on the first.
 
-    Thin wrapper over the collecting engine: every registered
-    non-expensive topology rule runs (architecture-filtered), and the
-    first error-severity diagnostic becomes a :class:`TopologyError`.
+    Every registered non-expensive topology rule runs
+    (architecture-filtered), and the first error-severity diagnostic
+    becomes a :class:`TopologyError`.
     """
-    _raise_first(topo)
+    from ..staticcheck import run_topology_rules
 
-
-def check_dual_tor(topo: Topology) -> None:
-    """Each wired dual-port backend NIC reaches two distinct ToRs.
-
-    Error messages name the ToRs a violating NIC actually reaches, not
-    just the count, so an operator can walk to the right rack.
-    """
-    _raise_first(topo, ["TOPO002"])
+    errors = run_topology_rules(topo).errors
+    if errors:
+        raise TopologyError(errors[0].message)
 
 
 def oversubscription_report(topo: Topology) -> Dict[str, float]:

@@ -119,12 +119,12 @@ class TestFormats:
         assert result["suppressions"] == [{"kind": "inSource"}]
 
     def test_lint_sarif_parity(self, tmp_path, capsys):
-        """Satellite: lint shares the renderer, so sarif/json both work."""
+        """The LINT family shares the renderer, so sarif/json both work."""
         bad = tmp_path / "bad.py"
         bad.write_text("import random\nx = random.random()\n",
                        encoding="utf-8")
         code, out = run_cli(
-            capsys, "lint", "--format", "sarif", str(bad)
+            capsys, "check", "--family", "LINT", "--format", "sarif", str(bad)
         )
         assert code == 1
         sarif = json.loads(out)
@@ -132,7 +132,8 @@ class TestFormats:
             r["ruleId"].startswith("LINT")
             for r in sarif["runs"][0]["results"]
         )
-        code, out = run_cli(capsys, "lint", "--format", "json", str(bad))
+        code, out = run_cli(capsys, "check", "--family", "LINT",
+                            "--format", "json", str(bad))
         assert code == 1 and json.loads(out)["ok"] is False
 
 

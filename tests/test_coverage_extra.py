@@ -1,6 +1,8 @@
 """Remaining coverage: serialization across architectures, CLI failure
 paths, communicator chunking, verifier property, misc."""
 
+import json
+
 import pytest
 
 from repro import (
@@ -58,16 +60,19 @@ class TestCliFailurePaths:
         swap_access_links(cluster.topo, a, b)
         path = str(tmp_path / "bad.json")
         save_topology(cluster.topo, path)
-        rc = cli_main(["validate", "-i", path])
+        rc = cli_main(["check", "--family", "TOPO,WIRE,FWD", "-i", path])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "INVARIANT VIOLATION" in out or "WIRING FAULTS" in out
+        assert "TOPO004" in out and "WIRE001" in out
 
     def test_validate_probe_pairs_flag(self, capsys):
-        rc = cli_main(["validate", "--segments", "1", "--hosts", "2",
-                       "--aggs", "2", "--probe-pairs", "1"])
+        rc = cli_main(["check", "--family", "TOPO,WIRE,FWD",
+                       "--segments", "1", "--hosts", "2", "--aggs", "2",
+                       "--probe-pairs", "1", "--format", "json"])
         assert rc == 0
-        assert "probe flows" in capsys.readouterr().out
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["fwd_pairs_checked"] == 1
+        assert stats["fwd_flows_walked"] > 0
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

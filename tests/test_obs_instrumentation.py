@@ -253,6 +253,26 @@ class TestCollectiveInstrumentation:
         assert intra.ts_s == inter.ts_s == 0.0  # overlapped stages
         assert inter.args["pipelined"] is True
 
+    def test_reduce_scatter_is_traced_as_itself(self, comm):
+        from repro.collective import reduce_scatter
+        from repro.collective.model import allgather_busbw
+
+        with recording() as rec:
+            result = reduce_scatter(comm, 64 * MB)
+        assert result.op == "reducescatter"
+        (intra,) = rec.events.by_name("reducescatter.intra")
+        (inter,) = rec.events.by_name("reducescatter.inter")
+        assert intra.dur_s == pytest.approx(result.intra_seconds)
+        assert inter.ts_s == pytest.approx(result.intra_seconds)
+        assert not rec.events.by_name("allgather.intra")
+        assert rec.metrics.counter("collective.ops",
+                                   op="reducescatter").value == 1
+        assert rec.metrics.counter("collective.ops",
+                                   op="allgather").value == 0
+        # busbw keeps the (n-1)/n normalization of an AllGather
+        assert result.busbw_bytes_per_sec == pytest.approx(allgather_busbw(
+            result.size_bytes, result.world_size, result.seconds))
+
     def test_alltoall_network_span(self, comm):
         from repro.collective import all_to_all
 

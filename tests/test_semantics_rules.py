@@ -17,7 +17,7 @@ from repro.staticcheck.diagnostics import Severity
 from repro.staticcheck.semantics import (
     Baseline,
     ProjectIndex,
-    analyze_project,
+    build_project_index,
     fingerprint,
     run_semantic_rules,
 )
@@ -337,7 +337,8 @@ class TestSem004:
         assert "allowed-imports table" in hits[0].message
 
     def test_real_tree_layering_is_clean(self):
-        report = analyze_project([REPO_SRC], rule_ids=["SEM004"])
+        report = run_semantic_rules(build_project_index([REPO_SRC]),
+                                    rule_ids=["SEM004"])
         assert report.active == []
 
     def test_dotted_subpackage_key_overrides_parent(self, tmp_path):
@@ -565,7 +566,7 @@ class TestBaseline:
 class TestWholeTree:
     def test_full_pass_is_clean_and_fast(self):
         t0 = time.perf_counter()
-        report = analyze_project([REPO_SRC])
+        report = run_semantic_rules(build_project_index([REPO_SRC]))
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"semantic pass took {elapsed:.1f}s"
         assert report.active == [], "\n".join(

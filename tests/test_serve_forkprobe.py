@@ -55,8 +55,8 @@ def what_if_queries(topo):
 class TestProbeIsolation:
     def test_probed_router_is_byte_identical_to_never_probed(self):
         control_topo, probed_topo = build_hpn(SPEC), build_hpn(SPEC)
-        control = ServeState(control_topo, fresh=True)
-        probed = ServeState(probed_topo, fresh=True)
+        control = ServeState(control_topo)
+        probed = ServeState(probed_topo)
         live = live_queries(control_topo)
         probes = what_if_queries(probed_topo)
 
@@ -74,8 +74,8 @@ class TestProbeIsolation:
 
     def test_batched_what_ifs_leave_live_cache_untouched(self):
         control_topo, probed_topo = build_hpn(SPEC), build_hpn(SPEC)
-        control = ServeState(control_topo, fresh=True)
-        probed = ServeState(probed_topo, fresh=True)
+        control = ServeState(control_topo)
+        probed = ServeState(probed_topo)
         live = live_queries(control_topo)
         probes = what_if_queries(probed_topo)
 
@@ -94,8 +94,8 @@ class TestProbeIsolation:
     def test_probes_interleaved_with_real_failures(self):
         """Real failures apply on both sides; probes still leak nothing."""
         control_topo, probed_topo = build_hpn(SPEC), build_hpn(SPEC)
-        control = ServeState(control_topo, fresh=True)
-        probed = ServeState(probed_topo, fresh=True)
+        control = ServeState(control_topo)
+        probed = ServeState(probed_topo)
         live = live_queries(control_topo)
         probes = what_if_queries(probed_topo)
         fail_lid = sorted(control_topo.links)[5]
@@ -127,7 +127,7 @@ class TestProbeIsolation:
 
     def test_oracle_agrees_after_the_whole_interleaving(self):
         topo = build_hpn(SPEC)
-        state = ServeState(topo, fresh=True)
+        state = ServeState(topo)
         live = live_queries(topo)
         for probe in what_if_queries(topo):
             state.execute(probe)

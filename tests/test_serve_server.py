@@ -32,8 +32,7 @@ class DaemonHarness:
             segments_per_pod=2, hosts_per_segment=4, aggs_per_plane=2,
         ))
         self.recorder = Recorder()
-        self.state = ServeState(self.topo, recorder=self.recorder,
-                                fresh=True)
+        self.state = ServeState(self.topo, recorder=self.recorder)
         self.daemon = ServeDaemon(
             self.state, host="127.0.0.1", port=0,
             max_batch=8, max_delay_s=0.002, recorder=self.recorder,

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.routing import Router
+from repro.routing import Router, reset_shared_router
 from repro.serve import KINDS, Query, QueryError, ServeState
 from repro.serve.query import Query as Q
 from repro.topos import HpnSpec, build_hpn
@@ -141,13 +141,13 @@ def first_mismatch(a, b):
 
 class TestSerialExecution:
     def test_serial_matches_oracle_for_every_kind(self, hpn_mutable):
-        state = ServeState(hpn_mutable, fresh=True)
+        state = ServeState(hpn_mutable)
         oracle = oracle_state(hpn_mutable)
         for q in mixed_workload(hpn_mutable):
             assert state.execute(q) == oracle.execute(q), q
 
     def test_error_results_are_structured(self, hpn_mutable):
-        state = ServeState(hpn_mutable, fresh=True)
+        state = ServeState(hpn_mutable)
         res = state.execute(
             Query(kind="path", src_host="nope", dst_host="nope2")
         )
@@ -164,14 +164,15 @@ class TestSerialExecution:
 class TestBatchedExecution:
     def test_batch_matches_serial_order_and_bytes(self, hpn_mutable):
         workload = mixed_workload(hpn_mutable)
-        serial_state = ServeState(hpn_mutable, fresh=True)
+        serial_state = ServeState(hpn_mutable)
         want = [serial_state.execute(q) for q in workload]
-        batch_state = ServeState(hpn_mutable, fresh=True)
+        reset_shared_router(hpn_mutable)  # the batched side starts cold
+        batch_state = ServeState(hpn_mutable)
         got = batch_state.execute_batch(workload)
         assert got == want
 
     def test_batch_dedupes_and_fans_out(self, hpn_mutable):
-        state = ServeState(hpn_mutable, fresh=True)
+        state = ServeState(hpn_mutable)
         hosts = sorted(h.name for h in hpn_mutable.active_hosts())
         q = Query(kind="path", src_host=hosts[0], dst_host=hosts[1])
         results = state.execute_batch([q, q, q, q])
@@ -186,7 +187,7 @@ class TestBatchedExecution:
         assert state.router.stats.hits == 1
 
     def test_repeat_batches_hit_cache_not_rederive(self, hpn_mutable):
-        state = ServeState(hpn_mutable, fresh=True)
+        state = ServeState(hpn_mutable)
         workload = mixed_workload(hpn_mutable)
         first = state.execute_batch(workload)
         misses = state.router.stats.misses
@@ -196,7 +197,7 @@ class TestBatchedExecution:
 
     def test_result_memo_expires_on_real_failure(self, hpn_mutable):
         topo = hpn_mutable
-        state = ServeState(topo, fresh=True)
+        state = ServeState(topo)
         hosts = sorted(h.name for h in topo.active_hosts())
         a, b = hosts[0], hosts[-1]
         # the route cache holds the planes answer, the result memo the
@@ -229,7 +230,7 @@ class TestBatchedExecution:
     def test_planes_answers_add_nothing_to_result_memo(self, hpn_mutable):
         """The live router caches planes answers; the memo holds none."""
         topo = hpn_mutable
-        state = ServeState(topo, fresh=True)
+        state = ServeState(topo)
         hosts = sorted(h.name for h in topo.active_hosts())
         pairs = [(a, b) for a in hosts for b in hosts if a != b][:100]
         planes = [Query(kind="planes", src_host=a, dst_host=b)
@@ -252,9 +253,10 @@ class TestBatchedExecution:
         hosts = sorted(h.name for h in topo.active_hosts())
         same_host = Query(kind="path", src_host=hosts[0], dst_host=hosts[0])
         workload = list(dict.fromkeys(mixed_workload(topo) + [same_host]))
-        serial_state = ServeState(topo, fresh=True)
+        serial_state = ServeState(topo)
         want = [serial_state.execute(q) for q in workload]
-        batch_state = ServeState(topo, fresh=True)
+        reset_shared_router(topo)  # its own cold router, not serial's
+        batch_state = ServeState(topo)
         assert batch_state.execute_batch(workload) == want
         assert want[-1]["ok"] is False
         assert (batch_state.router.stats.as_dict()
@@ -262,7 +264,7 @@ class TestBatchedExecution:
 
     def test_what_if_groups_share_one_transient_block(self, hpn_mutable):
         topo = hpn_mutable
-        state = ServeState(topo, fresh=True)
+        state = ServeState(topo)
         hosts = sorted(h.name for h in topo.active_hosts())
         lid = agg_link_id(topo)
         fail = (lid,)
@@ -288,7 +290,7 @@ class TestBatchedExecution:
 
     def test_batch_leaves_topology_state_restored(self, hpn_mutable):
         topo = hpn_mutable
-        state = ServeState(topo, fresh=True)
+        state = ServeState(topo)
         link_state = {lid: l.up for lid, l in topo.links.items()}
         state.execute_batch(mixed_workload(topo))
         assert {lid: l.up for lid, l in topo.links.items()} == link_state
@@ -305,9 +307,10 @@ class TestMixedLoadAtPodScale:
         assert {q.kind for q in load} == set(KINDS)
         oracle_serve = oracle_state(topo)
         oracle = [oracle_serve.execute(q) for q in load]
-        serial_state = ServeState(topo, fresh=True)
+        serial_state = ServeState(topo)
         serial = [serial_state.execute(q) for q in load]
-        batch_state = ServeState(topo, fresh=True)
+        reset_shared_router(topo)  # the hit rate is the batched side's own
+        batch_state = ServeState(topo)
         batched = []
         for start in range(0, len(load), 64):
             batched.extend(batch_state.execute_batch(load[start:start + 64]))
@@ -358,7 +361,7 @@ class TestQueryObject:
 
 class TestStats:
     def test_stats_shape(self, hpn_mutable):
-        state = ServeState(hpn_mutable, fresh=True)
+        state = ServeState(hpn_mutable)
         state.execute_batch(mixed_workload(hpn_mutable))
         stats = state.stats()
         assert stats["topology"]["hosts"] == len(hpn_mutable.hosts)

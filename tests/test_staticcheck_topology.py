@@ -14,7 +14,6 @@ from repro.core.errors import TopologyError
 from repro.staticcheck import (
     Report,
     Severity,
-    analyze_topology,
     all_rules,
     run_topology_rules,
 )
@@ -26,7 +25,6 @@ from repro.topos import (
     validate,
 )
 from repro.topos.hpn import agg_name, tor_name
-from repro.topos.validate import check_dual_tor
 
 
 TINY = HpnSpec(
@@ -96,8 +94,6 @@ class TestTopo002DualTor:
         nic = topo.hosts["pod0/seg0/host0"].nic_for_rail(0)
         unwire(topo, nic.ports[1])
         with pytest.raises(TopologyError, match=r"tor-r0p0"):
-            check_dual_tor(topo)
-        with pytest.raises(TopologyError):
             validate(topo)
 
 
@@ -307,14 +303,14 @@ class TestEngine:
         assert report.ok  # TOPO009 not in the subset
 
     def test_analyze_serialized_topology(self, tmp_path):
-        from repro.core import save_topology
+        from repro.core import load_topology, save_topology
 
         topo = build_hpn(TINY)
         tor = tor_name(0, 0, 0, 0)
         topo.switches[tor].chip_gbps = 100.0
         path = str(tmp_path / "bad.json")
         save_topology(topo, path)
-        report = analyze_topology(path)
+        report = run_topology_rules(load_topology(path))
         assert error_ids(report) == ["TOPO007"]
 
     def test_serialized_spec_still_drives_budget_rules(self, tmp_path):

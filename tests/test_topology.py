@@ -1,5 +1,7 @@
 """Topology container: nodes, ports, wiring, queries, failures."""
 
+import copy
+
 import pytest
 
 from repro.core import (
@@ -115,17 +117,22 @@ def test_attach_wires_nic_port_to_new_down_port(topo):
     lambda t: t.attach(t.hosts["h0"].nic_for_rail(0).ports[0], "nope", 200.0),
 ])
 def test_connect_and_attach_refuse_unknown_nodes(topo, call):
+    ports = copy.deepcopy(topo.ports)
     with pytest.raises(TopologyError, match="unknown node"):
         call(topo)
     assert not topo.links and topo.structure_epoch == 0
+    # no stray port is left behind on the node that did exist
+    assert topo.ports == ports
 
 
 def test_attach_refuses_a_wired_nic_port(topo):
     nic = topo.hosts["h0"].nic_for_rail(0)
     topo.attach(nic.ports[0], "tor0", 200.0)
+    ports = copy.deepcopy(topo.ports)
     with pytest.raises(TopologyError, match="already wired"):
         topo.attach(nic.ports[0], "tor1", 200.0)
     assert len(topo.links) == topo.structure_epoch == 1
+    assert topo.ports == ports
 
 
 def test_link_between_finds_parallel_links(topo):
